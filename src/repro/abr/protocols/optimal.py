@@ -3,8 +3,9 @@
 Two solvers:
 
 - :func:`optimal_qoe_exhaustive` -- exact maximum QoE over a short window
-  by enumerating every plan.  This computes the adversary's ``r_opt``:
+  by searching every plan.  This computes the adversary's ``r_opt``:
   "the highest possible QoE over the last 4 network changes" (section 3).
+  The ``_batch``/``_mixed`` variants solve many windows on the same lattice.
 - :func:`optimal_plan_dp` -- full-video optimum by dynamic programming
   over a discretized buffer, used for the "Offline Optimum" overlay in
   Figure 3.
@@ -16,8 +17,6 @@ the download time of chunk ``i`` at quality ``q`` simply
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -32,54 +31,132 @@ __all__ = [
     "optimal_qoe_exhaustive_mixed",
 ]
 
-#: Cached plan tables keyed by (n_bitrates, steps); building the
-#: ``n_bitrates ** steps`` product from scratch dominates a single
-#: exhaustive call, and the table is identical for every window of the
-#: same shape.
-_COMBO_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _combo_table(n_bitrates: int, steps: int) -> np.ndarray:
-    key = (n_bitrates, steps)
-    combos = _COMBO_CACHE.get(key)
-    if combos is None:
-        combos = np.array(
-            list(itertools.product(range(n_bitrates), repeat=steps)), dtype=int
-        )
-        _COMBO_CACHE[key] = combos
-    return combos
-
-
-#: Per-(ladder, weights) quality-score vectors.  ``weights.quality`` is a
-#: pure function of its inputs, so the table is reusable across the
-#: millions of solver calls a training run makes; unhashable weights
-#: (exotic subclasses) just skip the cache.
+#: Per-(ladder, weights) quality-score vectors and per-(ladder, weights,
+#: window) lattice level tables: pure functions of their key, reused across
+#: the millions of solver calls a training run makes.  Unhashable weights
+#: (exotic subclasses) skip the cache.
 _QUALITY_CACHE: dict[tuple, np.ndarray] = {}
+_LEVEL_CACHE: dict[tuple, tuple] = {}
+
+
+def _cached(cache: dict, key: tuple, build):
+    try:
+        value = cache.get(key)
+    except TypeError:
+        return build()
+    if value is None:
+        value = cache[key] = build()
+    return value
 
 
 def _quality_table(video: Video, weights: QoEWeights) -> np.ndarray:
-    try:
-        key = (video.bitrates_kbps, type(weights), weights)
-        cached = _QUALITY_CACHE.get(key)
-    except TypeError:
-        return np.array([weights.quality(b) for b in video.bitrates_kbps])
-    if cached is None:
-        cached = np.array([weights.quality(b) for b in video.bitrates_kbps])
-        _QUALITY_CACHE[key] = cached
-    return cached
+    return _cached(
+        _QUALITY_CACHE,
+        (video.bitrates_kbps, type(weights), weights),
+        lambda: np.array([weights.quality(b) for b in video.bitrates_kbps]),
+    )
 
 
-def _download_times(
-    video: Video, start_chunk: int, bandwidths_mbps: np.ndarray
-) -> np.ndarray:
-    """Matrix ``(len(bandwidths), n_bitrates)`` of download times in seconds."""
-    rates = np.asarray(bandwidths_mbps, dtype=float) * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
-    if np.any(rates <= 0):
+def _level_tables(video: Video, weights: QoEWeights, steps: int) -> tuple:
+    """``(choice, quality, smooth)`` per lattice level: each plan prefix's
+    last choice (``itertools.product`` order), its quality score and the
+    smoothing penalty of its last switch.  Level 0's penalty is indexed by
+    the window's previous quality; its last row (no previous chunk) is 0.
+    """
+
+    def build() -> tuple:
+        qualities = _quality_table(video, weights)
+        n_b, penalty = len(qualities), weights.smooth_penalty
+        levels, prev = [], None
+        for k in range(steps):
+            choice = np.tile(np.arange(n_b), n_b**k)
+            quality = qualities[choice]
+            if k == 0:
+                smooth = np.vstack(
+                    [penalty * np.abs(quality - qualities[:, None]), np.zeros(n_b)]
+                )
+            else:
+                smooth = penalty * np.abs(quality - np.repeat(prev, n_b))
+            levels.append((choice, quality, smooth))
+            prev = quality
+        return tuple(levels)
+
+    return _cached(
+        _LEVEL_CACHE, (video.bitrates_kbps, type(weights), weights, steps), build
+    )
+
+
+def _download_times(video: Video, start_chunks, bandwidths: np.ndarray) -> np.ndarray:
+    """Download times (s), ``(B, steps, n_bitrates)``, of ``B`` windows from
+    ``start_chunks`` under per-chunk ``bandwidths`` (Mbps, ``(B, steps)``)."""
+    if not np.isfinite(bandwidths).all():
+        raise ValueError("bandwidths must be finite")
+    rates = bandwidths * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
+    if (rates <= 0).any():
         raise ValueError("bandwidths must be positive")
-    sizes = video.chunk_sizes_bytes[start_chunk : start_chunk + len(rates)]
-    if sizes.shape[0] < len(rates):
+    steps = bandwidths.shape[1]
+    starts = np.asarray(start_chunks, dtype=int)
+    if (starts < 0).any():
+        raise ValueError("start chunk must be non-negative")
+    if (starts + steps > video.n_chunks).any():
         raise ValueError("bandwidth schedule runs past the end of the video")
-    return sizes / rates[:, None] + LINK_RTT_S
+    sizes = video.chunk_sizes_bytes[starts[:, None] + np.arange(steps)]
+    return sizes / rates[:, :, None] + LINK_RTT_S
+
+
+def _plan_values(
+    video: Video,
+    start_chunks,
+    bandwidths: np.ndarray,
+    start_buffers_s,
+    prev_qualities,
+    weights: QoEWeights,
+) -> np.ndarray:
+    """QoE of every plan for ``B`` equal-length windows: ``(B, n_bitrates ** steps)``.
+
+    Column ``j`` is the plan ``itertools.product(range(n_bitrates),
+    repeat=steps)`` yields ``j``-th, so a first-max ``argmax`` picks the
+    same plan as a scan in product order.  The search runs over a
+    *prefix-expanding* lattice: level k holds one partial plan per
+    ``n_bitrates ** k`` choice prefix and is expanded by ``repeat`` into
+    level k+1, so shared prefixes -- identical buffer states and partial
+    sums -- are computed once instead of ``n_bitrates ** (steps - k)``
+    times.  Each plan's value is still the left-to-right per-chunk sum of
+    its QoE terms, exactly as a plan-by-plan enumeration computes it.
+    """
+    if bandwidths.ndim != 2:
+        raise ValueError("bandwidth_windows must be (batch, window)")
+    n_batch, steps = bandwidths.shape
+    if steps == 0:
+        raise ValueError("empty bandwidth window")
+    if steps > 8:
+        raise ValueError("exhaustive search limited to 8 chunks; use optimal_plan_dp")
+    downloads = _download_times(video, start_chunks, bandwidths)
+    start_buffers = np.asarray(start_buffers_s, dtype=float)
+    if not np.isfinite(start_buffers).all():
+        raise ValueError("start buffers must be finite")
+    n_b = video.n_bitrates
+    has_prev = np.array([q is not None for q in prev_qualities], dtype=bool)
+    prev_idx = np.array([0 if q is None else q for q in prev_qualities], dtype=np.intp)
+    if ((prev_idx < 0) | (prev_idx >= n_b)).any():
+        raise ValueError(f"prev_quality must be None or in [0, {n_b})")
+    prev_idx[~has_prev] = n_b
+
+    buffer = start_buffers[:, None]  # (B, width), width = prefixes so far
+    total = np.zeros((n_batch, 1))
+    for k, (choice, quality, smooth) in enumerate(_level_tables(video, weights, steps)):
+        # Expand every prefix with all n_b next choices; child j*n_b + c
+        # of prefix j keeps itertools.product order level by level.
+        buffer = np.repeat(buffer, n_b, axis=1)
+        total = np.repeat(total, n_b, axis=1)
+        download = downloads[:, k].take(choice, axis=1)
+        rebuffer = np.maximum(download - buffer, 0.0)
+        buffer = np.minimum(
+            np.maximum(buffer - download, 0.0) + video.chunk_seconds, BUFFER_CAP_S
+        )
+        total += quality - weights.rebuffer_penalty * rebuffer
+        total -= smooth[prev_idx] if k == 0 else smooth
+    return total
 
 
 def optimal_qoe_exhaustive(
@@ -92,38 +169,16 @@ def optimal_qoe_exhaustive(
 ) -> tuple[float, list[int]]:
     """Exact max QoE over ``len(bandwidths_mbps)`` chunks; returns (qoe, plan).
 
-    Enumeration is vectorized over all ``n_bitrates ** window`` plans;
-    windows up to ~6 chunks are instantaneous.
+    Searches all ``n_bitrates ** window`` plans (windows up to 8 chunks);
+    ties go to the first plan in ``itertools.product`` order.
     """
     bandwidths = np.asarray(bandwidths_mbps, dtype=float)
-    steps = len(bandwidths)
-    if steps == 0:
-        raise ValueError("empty bandwidth window")
-    if steps > 8:
-        raise ValueError("exhaustive search limited to 8 chunks; use optimal_plan_dp")
-    downloads = _download_times(video, start_chunk, bandwidths)
-    qualities = np.array([weights.quality(b) for b in video.bitrates_kbps])
-
-    combos = np.array(
-        list(itertools.product(range(video.n_bitrates), repeat=steps)), dtype=int
-    )
-    n = combos.shape[0]
-    buffer = np.full(n, float(start_buffer_s))
-    total = np.zeros(n)
-    prev = None if prev_quality is None else np.full(n, qualities[prev_quality])
-    for k in range(steps):
-        download = downloads[k, combos[:, k]]
-        rebuffer = np.maximum(download - buffer, 0.0)
-        buffer = np.minimum(
-            np.maximum(buffer - download, 0.0) + video.chunk_seconds, BUFFER_CAP_S
-        )
-        quality = qualities[combos[:, k]]
-        total += quality - weights.rebuffer_penalty * rebuffer
-        if prev is not None:
-            total -= weights.smooth_penalty * np.abs(quality - prev)
-        prev = quality
-    best = int(np.argmax(total))
-    return float(total[best]), combos[best].tolist()
+    values = _plan_values(
+        video, [start_chunk], bandwidths[None, :], [start_buffer_s], [prev_quality], weights
+    )[0]
+    best = int(np.argmax(values))
+    plan = np.unravel_index(best, (video.n_bitrates,) * len(bandwidths))
+    return float(values[best]), [int(q) for q in plan]
 
 
 def optimal_qoe_exhaustive_batch(
@@ -137,79 +192,25 @@ def optimal_qoe_exhaustive_batch(
     """Exact max QoE for a *batch* of equal-length windows; returns ``(B,)``.
 
     Vectorized across ``B`` independent windows (one per parallel env) on
-    top of the plan enumeration of :func:`optimal_qoe_exhaustive`, sharing
-    one cached plan table.  Each row b solves the same problem as::
+    the lattice of :func:`optimal_qoe_exhaustive`.  Each row b solves the
+    same problem as::
 
         optimal_qoe_exhaustive(video, start_chunks[b], bandwidth_windows[b],
                                start_buffers_s[b], prev_qualities[b], weights)[0]
 
-    and produces the identical value, chunk for chunk and bit for bit.
-    ``prev_qualities`` entries may be ``None`` (no previous chunk, i.e.
-    an episode's first window).
-
-    The enumeration runs over a *prefix-expanding* lattice: level k holds
-    one partial plan per ``n_bitrates ** k`` choice prefix (in
-    ``itertools.product`` order) and is expanded by ``repeat`` into level
-    k+1, so shared prefixes -- identical buffer states and partial sums
-    under the full ``(B, plans)`` sweep -- are computed once instead of
-    ``n_bitrates ** (steps - k)`` times.  Each final plan's value is
-    accumulated by the exact elementwise op chain of the scalar solver
-    (same expressions, same left-association, same product order for the
-    final max), so the restructuring is invisible at the bit level while
-    touching ~3x fewer array elements at the paper's 4-chunk window.
+    and produces the identical value, bit for bit: every op of the
+    lattice is elementwise, so a row's values do not depend on the rows
+    beside it.  ``prev_qualities`` entries may be ``None`` (no previous
+    chunk, i.e. an episode's first window).
     """
-    bandwidths = np.asarray(bandwidth_windows, dtype=float)
-    if bandwidths.ndim != 2:
-        raise ValueError("bandwidth_windows must be (batch, window)")
-    n_batch, steps = bandwidths.shape
-    if steps == 0:
-        raise ValueError("empty bandwidth window")
-    if steps > 8:
-        raise ValueError("exhaustive search limited to 8 chunks; use optimal_plan_dp")
-    rates = bandwidths * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
-    if np.any(rates <= 0):
-        raise ValueError("bandwidths must be positive")
-    starts = np.asarray(start_chunks, dtype=int)
-    if np.any(starts < 0) or np.any(starts + steps > video.n_chunks):
-        raise ValueError("bandwidth schedule runs past the end of the video")
-    sizes = video.chunk_sizes_bytes[
-        starts[:, None] + np.arange(steps)
-    ]  # (B, steps, n_bitrates)
-    downloads = sizes / rates[:, :, None] + LINK_RTT_S
-    qualities = _quality_table(video, weights)
-    n_b = video.n_bitrates
-
-    start_buffers = np.asarray(start_buffers_s, dtype=float)
-    has_prev = np.array([q is not None for q in prev_qualities])
-    prev_vals = np.array(
-        [0.0 if q is None else qualities[q] for q in prev_qualities]
-    )
-    buffer = start_buffers[:, None]  # (B, width), width = prefixes so far
-    total = np.zeros((n_batch, 1))
-    width = 1
-    prev_quality: np.ndarray | None = None  # last choice's quality, (width,)
-    for k in range(steps):
-        # Expand every prefix with all n_b next choices; child j*n_b + c
-        # of prefix j keeps itertools.product order level by level.
-        buffer = np.repeat(buffer, n_b, axis=1)
-        total = np.repeat(total, n_b, axis=1)
-        choice = np.tile(np.arange(n_b), width)  # (width * n_b,)
-        download = downloads[:, k, :][:, choice]
-        rebuffer = np.maximum(download - buffer, 0.0)
-        buffer = np.minimum(
-            np.maximum(buffer - download, 0.0) + video.chunk_seconds, BUFFER_CAP_S
-        )
-        quality = qualities[choice]
-        total += quality[None, :] - weights.rebuffer_penalty * rebuffer
-        if k == 0:
-            smooth = np.abs(quality[None, :] - prev_vals[:, None])
-            total -= weights.smooth_penalty * smooth * has_prev[:, None]
-        else:
-            prev_col = np.repeat(prev_quality, n_b)
-            total -= weights.smooth_penalty * np.abs(quality - prev_col)[None, :]
-        prev_quality = quality
-        width *= n_b
-    return total.max(axis=1)
+    return _plan_values(
+        video,
+        start_chunks,
+        np.asarray(bandwidth_windows, dtype=float),
+        start_buffers_s,
+        prev_qualities,
+        weights,
+    ).max(axis=1)
 
 
 def optimal_qoe_exhaustive_mixed(
@@ -226,10 +227,8 @@ def optimal_qoe_exhaustive_mixed(
     lengths -- the state a lockstep batch of adversary envs is in right
     after a staggered reset, when some envs are still inside their first
     ``opt_window`` chunks.  Windows are grouped by length and each group
-    runs one vectorized plan enumeration; results come back in input
-    order.  A single-row group runs the same ``(1, plans)`` lattice, whose
-    elementwise op sequence is exactly the scalar solver's, so every entry
-    is bitwise equal to::
+    runs one lattice sweep; results come back in input order, each entry
+    bitwise equal to::
 
         optimal_qoe_exhaustive(video, start_chunks[b], bandwidth_windows[b],
                                start_buffers_s[b], prev_qualities[b], weights)[0]
@@ -269,8 +268,8 @@ def optimal_plan_dp(
         raise ValueError(
             f"need one bandwidth per chunk ({video.n_chunks}), got {len(bandwidths)}"
         )
-    downloads = _download_times(video, 0, bandwidths)
-    qualities = np.array([weights.quality(b) for b in video.bitrates_kbps])
+    downloads = _download_times(video, [0], bandwidths[None, :])[0]
+    qualities = _quality_table(video, weights)
     nq = video.n_bitrates
     grid = np.arange(0.0, BUFFER_CAP_S + buffer_step_s, buffer_step_s)
     nb = len(grid)

@@ -15,6 +15,10 @@ from repro.abr.protocols import (
     optimal_qoe_exhaustive,
     run_session,
 )
+from repro.abr.protocols.optimal import (
+    optimal_qoe_exhaustive_batch,
+    optimal_qoe_exhaustive_mixed,
+)
 from repro.abr.qoe import QoEWeights, chunk_qoe
 from repro.abr.simulator import BUFFER_CAP_S, LINK_RTT_S, PACKET_PAYLOAD_PORTION
 from repro.abr.video import Video
@@ -41,6 +45,65 @@ def simulate_plan(video, plan, bandwidths, start_buffer=0.0, prev_quality=None,
         total += chunk_qoe(float(video.bitrates_kbps[q]), rebuf, prev_kbps, weights)
         prev = q
     return total
+
+
+def reference_exhaustive(video, start_chunk, bandwidths, start_buffer, prev_quality,
+                         weights=QoEWeights()):
+    """The retired plan-by-plan solver: the oracle for the lattice.
+
+    Builds the full ``itertools.product`` plan table and accumulates each
+    plan's QoE chunk by chunk; ``argmax`` keeps the first of equal plans.
+    """
+    bandwidths = np.asarray(bandwidths, dtype=float)
+    steps = len(bandwidths)
+    rates = bandwidths * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
+    sizes = video.chunk_sizes_bytes[start_chunk : start_chunk + steps]
+    downloads = sizes / rates[:, None] + LINK_RTT_S
+    qualities = np.array([weights.quality(b) for b in video.bitrates_kbps])
+    combos = np.array(
+        list(itertools.product(range(video.n_bitrates), repeat=steps)), dtype=int
+    )
+    n = combos.shape[0]
+    buffer = np.full(n, float(start_buffer))
+    total = np.zeros(n)
+    prev = None if prev_quality is None else np.full(n, qualities[prev_quality])
+    for k in range(steps):
+        download = downloads[k, combos[:, k]]
+        rebuffer = np.maximum(download - buffer, 0.0)
+        buffer = np.minimum(
+            np.maximum(buffer - download, 0.0) + video.chunk_seconds, BUFFER_CAP_S
+        )
+        quality = qualities[combos[:, k]]
+        total += quality - weights.rebuffer_penalty * rebuffer
+        if prev is not None:
+            total -= weights.smooth_penalty * np.abs(quality - prev)
+        prev = quality
+    best = int(np.argmax(total))
+    return float(total[best]), combos[best].tolist()
+
+
+#: Two ladders x two weightings, solved interleaved so a level-table cache
+#: keyed on the wrong fields would hand one problem another's tables.
+ORACLE_VIDEOS = (
+    Video.synthetic(n_chunks=16, seed=1),
+    Video.synthetic(n_chunks=16, seed=2, bitrates_kbps=(200, 400, 800, 1600, 3200, 6400)),
+)
+ORACLE_WEIGHTS = (
+    QoEWeights(),
+    QoEWeights(rebuffer_penalty=7.0, smooth_penalty=2.5, metric="log"),
+)
+
+
+#: The three public r_opt entry points, each solving one window.
+SOLVERS = {
+    "scalar": lambda v, s, bw, buf, prev: optimal_qoe_exhaustive(v, s, bw, buf, prev),
+    "batch": lambda v, s, bw, buf, prev: optimal_qoe_exhaustive_batch(
+        v, [s], [bw], [buf], [prev]
+    ),
+    "mixed": lambda v, s, bw, buf, prev: optimal_qoe_exhaustive_mixed(
+        v, [s], [bw], [buf], [prev]
+    ),
+}
 
 
 class TestExhaustive:
@@ -82,6 +145,66 @@ class TestExhaustive:
             fixed = simulate_plan(video, [q] * 4, bandwidths, buffer, prev)
             assert best >= fixed - 1e-9
 
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(0.3, 6.0), min_size=n, max_size=n),
+                st.integers(0, 16 - n),
+            )
+        ),
+        st.floats(0.0, 60.0),
+        st.sampled_from([None, 0, 1, 2, 3, 4, 5]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_enumeration(self, window, buffer, prev):
+        """Value bitwise and plan equal to the plan-by-plan oracle, for
+        every (ladder, weights) pair in turn."""
+        bandwidths, start = window
+        for video in ORACLE_VIDEOS:
+            for weights in ORACLE_WEIGHTS:
+                expected = reference_exhaustive(
+                    video, start, bandwidths, buffer, prev, weights
+                )
+                value, plan = optimal_qoe_exhaustive(
+                    video, start, bandwidths, buffer, prev, weights
+                )
+                batch = optimal_qoe_exhaustive_batch(
+                    video, [start], [bandwidths], [buffer], [prev], weights
+                )
+                assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+                assert np.float64(batch[0]).tobytes() == np.float64(expected[0]).tobytes()
+                assert plan == expected[1]
+
+    def test_exact_tie_keeps_first_plan(self):
+        """Rungs 1 and 2 are identical, so every plan using rung 2 ties with
+        an earlier one using rung 1: the first-max plan never picks 2."""
+        base = Video.synthetic(n_chunks=8, seed=6)
+        sizes = base.chunk_sizes_bytes.copy()
+        sizes[:, 2] = sizes[:, 1]
+        video = Video(sizes, bitrates_kbps=(300, 750, 750, 1850, 2850, 4300))
+        bandwidths = [0.9, 1.1, 0.9, 1.0]
+        value, plan = optimal_qoe_exhaustive(video, 2, bandwidths, 1.0, 2)
+        assert (value, plan) == reference_exhaustive(video, 2, bandwidths, 1.0, 2)
+        assert 1 in plan and 2 not in plan
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize(
+        "start, bandwidths, buffer, prev, match",
+        [
+            (0, [1.0, np.nan], 0.0, None, "finite"),
+            (0, [np.inf, 1.0], 0.0, None, "finite"),
+            (0, [1.0, 2.0], np.nan, None, "finite"),
+            (0, [1.0, 2.0], np.inf, 1, "finite"),
+            (0, [1.0, 2.0], 0.0, -1, "prev_quality"),
+            (0, [1.0, 2.0], 0.0, 6, "prev_quality"),
+            (-1, [1.0, 2.0], 0.0, None, "non-negative"),
+        ],
+    )
+    def test_rejects_malformed_inputs(self, video, solver, start, bandwidths,
+                                      buffer, prev, match):
+        with pytest.raises(ValueError, match=match):
+            SOLVERS[solver](video, start, bandwidths, buffer, prev)
+
 
 class TestDP:
     def test_plan_value_consistent(self):
@@ -104,6 +227,11 @@ class TestDP:
         video = Video.synthetic(n_chunks=5, seed=0)
         with pytest.raises(ValueError):
             optimal_plan_dp(video, np.ones(3))
+
+    def test_nan_bandwidth_rejected(self):
+        video = Video.synthetic(n_chunks=5, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            optimal_plan_dp(video, [1.0, 2.0, np.nan, 1.0, 1.0])
 
     def test_optimal_beats_all_protocols(self):
         """r_opt >= r_protocol: the foundation of the adversary's reward."""
