@@ -344,11 +344,13 @@ class _LiveUpdater:
         obs, actions, log_probs, advantages, returns = data
         buf = self.trainer.buffer
         buf.reset()
-        buf.obs[:] = obs
-        buf.actions[:] = actions
-        buf.log_probs[:] = log_probs
-        buf.advantages[:] = advantages
-        buf.returns[:] = returns
+        # One env: the buffer's (n_steps, 1, ...) layout holds the
+        # rollout's (n_steps, ...) arrays in the same order.
+        buf.obs[:] = obs.reshape(buf.obs.shape)
+        buf.actions[:] = actions.reshape(buf.actions.shape)
+        buf.log_probs[:] = log_probs.reshape(buf.log_probs.shape)
+        buf.advantages[:] = advantages.reshape(buf.advantages.shape)
+        buf.returns[:] = returns.reshape(buf.returns.shape)
         buf.pos = buf.capacity
 
     def update(self):

@@ -5,15 +5,15 @@ Measures raw adversary-env steps/sec at ``n_envs`` in
 
 - *sync*: :class:`~repro.rl.vec_env.SyncVecEnv` stepping ``n_envs``
   independent :class:`~repro.adversary.abr_env.AbrAdversaryEnv` worlds
-  with one serial target-policy ``select`` per env per step (but the
-  batched ``r_opt`` solver via ``batch_step``).
+  one after another -- the serial reference: per env per step, one
+  target-policy ``select`` and one scalar ``r_opt`` solve.
 - *batched*: :class:`~repro.adversary.batched_env.BatchedAbrVecEnv`,
   which advances every world in lockstep with ONE batched target-policy
   evaluation and one vectorized ``r_opt`` solve per step.
 
-Targets: ``bb`` (BufferBased -- per-step cost is dominated by the
-``r_opt`` solver, so the backends converge) and ``pensieve`` (a frozen
-NN policy -- the headline case, where the batched backend folds
+Targets: ``bb`` (BufferBased -- a near-free target, so the gap is the
+batched ``r_opt`` solve and the frame ring) and ``pensieve`` (a frozen
+NN policy -- the headline case, where the batched backend also folds
 ``n_envs`` MLP forwards into one GEMM).
 
 Both backends are driven with the identical action stream and each

@@ -31,10 +31,7 @@ from typing import Callable
 import numpy as np
 
 from repro.abr.protocols.base import AbrPolicy
-from repro.abr.protocols.optimal import (
-    optimal_qoe_exhaustive,
-    optimal_qoe_exhaustive_mixed,
-)
+from repro.abr.protocols.optimal import optimal_qoe_exhaustive
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import ControlledBandwidth, StreamingSession
 from repro.abr.video import Video
@@ -43,7 +40,7 @@ from repro.obs.metrics import MetricsRecorder
 from repro.rl.env import Env
 from repro.rl.ppo import PPO, PPOConfig
 from repro.rl.spaces import Box
-from repro.rl.vec_env import SubprocVecEnv, SyncVecEnv, VecEnv
+from repro.rl.vec_env import SubprocVecEnv, VecEnv
 
 __all__ = ["AbrAdversaryEnv", "AbrAdversaryResult", "train_abr_adversary"]
 
@@ -56,6 +53,30 @@ HISTORY_LEN = 10
 
 #: "r_opt is the highest possible QoE over the last 4 network changes."
 OPT_WINDOW = 4
+
+
+def check_adversary_config(
+    bw_low_mbps: float,
+    bw_high_mbps: float,
+    history_len: int,
+    opt_window: int,
+    goal: str,
+) -> None:
+    """Reject a malformed ABR adversary configuration with a named error.
+
+    Shared by the serial :class:`AbrAdversaryEnv` and the batched
+    :class:`~repro.adversary.batched_env.BatchedAbrVecEnv`, so both refuse
+    exactly the same configurations.
+    """
+    if bw_low_mbps <= 0 or bw_high_mbps <= bw_low_mbps:
+        raise ValueError("need 0 < bw_low < bw_high")
+    if history_len < 1:
+        raise ValueError(f"history_len must be >= 1, got {history_len}")
+    if opt_window < 1:
+        raise ValueError(f"opt_window must be >= 1, got {opt_window}")
+    goals = AbrAdversaryEnv.GOALS
+    if goal not in goals:
+        raise ValueError(f"unknown goal {goal!r}; choose from {goals}")
 
 
 class AbrAdversaryEnv(Env):
@@ -79,10 +100,9 @@ class AbrAdversaryEnv(Env):
         opt_window: int = OPT_WINDOW,
         goal: str = "qoe_regret",
     ) -> None:
-        if bw_low_mbps <= 0 or bw_high_mbps <= bw_low_mbps:
-            raise ValueError("need 0 < bw_low < bw_high")
-        if goal not in self.GOALS:
-            raise ValueError(f"unknown goal {goal!r}; choose from {self.GOALS}")
+        check_adversary_config(
+            bw_low_mbps, bw_high_mbps, history_len, opt_window, goal
+        )
         self.goal = goal
         self.target = target
         self.video = video
@@ -155,15 +175,7 @@ class AbrAdversaryEnv(Env):
         """Map a raw (possibly out-of-range) policy action to Mbps."""
         return float(self.bw_box.scale_from_unit(np.asarray(action, dtype=float))[0])
 
-    def _advance_world(self, action):
-        """Everything in one step *except* the r_opt search.
-
-        Returns the intermediates the reward needs: ``(bandwidth,
-        smoothing, quality, result, start)`` with ``start`` the first chunk
-        of the current r_opt window.  Split out so that
-        :meth:`batch_step` can run the expensive exhaustive search once
-        over a whole batch of envs.
-        """
+    def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
         session = self._session
         if session is None:
             raise RuntimeError("call reset() before step()")
@@ -182,14 +194,16 @@ class AbrAdversaryEnv(Env):
         self._protocol_qoe.append(result.qoe)
         self._frames.append(self._frame())
 
-        window = min(self.opt_window, len(self._chosen_bw))
-        start = len(self._chosen_bw) - window
-        return bandwidth, smoothing, quality, result, start
-
-    def _finish_step(
-        self, bandwidth, smoothing, quality, result, start, r_opt
-    ) -> tuple[np.ndarray, float, bool, dict]:
-        """Assemble (obs, reward, done, info) once ``r_opt`` is known."""
+        # Equation 1 over the last min(opt_window, chunks so far) chunks.
+        start = len(self._chosen_bw) - min(self.opt_window, len(self._chosen_bw))
+        r_opt, _plan = optimal_qoe_exhaustive(
+            self.video,
+            start_chunk=start,
+            bandwidths_mbps=self._chosen_bw[start:],
+            start_buffer_s=self._buffer_before[start],
+            prev_quality=self._prev_quality_before[start],
+            weights=self.weights,
+        )
         r_protocol = float(sum(self._protocol_qoe[start:]))
         if self.goal == "rebuffer":
             # Specific goal: cause stalls the optimum would have avoided.
@@ -205,57 +219,7 @@ class AbrAdversaryEnv(Env):
             "smoothing": smoothing,
             "rebuffer": result.rebuffer_seconds,
         }
-        assert self._session is not None
-        return self._stacked(), reward, self._session.done, info
-
-    def step(self, action) -> tuple[np.ndarray, float, bool, dict]:
-        bandwidth, smoothing, quality, result, start = self._advance_world(action)
-        r_opt, _plan = optimal_qoe_exhaustive(
-            self.video,
-            start_chunk=start,
-            bandwidths_mbps=self._chosen_bw[start:],
-            start_buffer_s=self._buffer_before[start],
-            prev_quality=self._prev_quality_before[start],
-            weights=self.weights,
-        )
-        return self._finish_step(bandwidth, smoothing, quality, result, start, r_opt)
-
-    @staticmethod
-    def batch_step(envs, actions):
-        """Step a batch of :class:`AbrAdversaryEnv` in lockstep.
-
-        The :class:`~repro.rl.vec_env.SyncVecEnv` fast path: worlds advance
-        serially (cheap), then the exhaustive ``r_opt`` searches -- the
-        dominant per-step cost -- run as one vectorized
-        :func:`optimal_qoe_exhaustive_mixed` call per distinct
-        (video, weights) pair, which itself groups mixed window lengths so
-        a staggered batch still searches in as few lattice sweeps as there
-        are distinct lengths.  Values are bitwise identical to per-env
-        :meth:`step`.
-        """
-        pre = [env._advance_world(actions[i]) for i, env in enumerate(envs)]
-        r_opts: list[float | None] = [None] * len(envs)
-        groups: dict[tuple, list[int]] = {}
-        for i, env in enumerate(envs):
-            groups.setdefault((id(env.video), id(env.weights)), []).append(i)
-        for idxs in groups.values():
-            first = envs[idxs[0]]
-            starts = [pre[i][4] for i in idxs]
-            values = optimal_qoe_exhaustive_mixed(
-                first.video,
-                start_chunks=starts,
-                bandwidth_windows=[envs[i]._chosen_bw[s:] for i, s in zip(idxs, starts)],
-                start_buffers_s=[envs[i]._buffer_before[s] for i, s in zip(idxs, starts)],
-                prev_qualities=[
-                    envs[i]._prev_quality_before[s] for i, s in zip(idxs, starts)
-                ],
-                weights=first.weights,
-            )
-            for i, value in zip(idxs, values):
-                r_opts[i] = float(value)
-        return [
-            env._finish_step(*p, r_opts[i]) for i, (env, p) in enumerate(zip(envs, pre))
-        ]
+        return self._stacked(), reward, session.done, info
 
     # -- conveniences -----------------------------------------------------------------
 
@@ -271,8 +235,16 @@ class AbrAdversaryEnv(Env):
         that advances ``n_envs`` worlds per step with one batched target
         call -- rollouts bitwise identical to
         ``SyncVecEnv([this env] * n_envs)``.  This instance itself is not
-        consumed; it stays usable as a serial env.
+        consumed; it stays usable as a serial env.  Only this class's own
+        step is reproduced, so a subclass that changes it (such as
+        :class:`~repro.adversary.constrained.PerturbationAdversaryEnv`)
+        raises ``ValueError``.
         """
+        if type(self) is not AbrAdversaryEnv:
+            raise ValueError(
+                f"the 'batched' backend reproduces AbrAdversaryEnv, not "
+                f"{type(self).__name__}; use the 'sync' backend"
+            )
         from repro.adversary.batched_env import BatchedAbrVecEnv
 
         return BatchedAbrVecEnv(
@@ -334,56 +306,35 @@ def train_abr_adversary(
 ) -> AbrAdversaryResult:
     """Train an adversary against a frozen ABR protocol.
 
-    ``n_envs > 1`` collects rollouts from that many parallel env copies
-    (each with its own copy of the frozen target, sharing the video);
-    ``n_envs == 1`` is the exact historical single-env path.  Either way
-    the run is fully determined by ``seed``.  ``vec_backend`` picks the
-    collection backend: ``"sync"`` (default) steps the copies in-process
-    and exploits the batched ``r_opt`` solver, ``"subproc"`` gives each
-    copy a worker process, and ``"batched"`` advances every world inside
-    one fully vectorized
-    :class:`~repro.adversary.batched_env.BatchedAbrVecEnv` -- a single
-    batched target-policy call and one frame-ring scatter per step, the
-    fastest choice by a wide margin for NN targets (see
+    Rollouts always go through one vectorized env of ``n_envs`` worlds;
+    the run is fully determined by ``seed``.  One env steps in-process
+    against the caller's ``target`` itself.  Wider runs give every env its
+    own copy of the frozen target, and ``vec_backend`` picks how they
+    step: ``"sync"`` (default) in-process, ``"subproc"`` one worker
+    process per shard, ``"batched"`` all worlds inside one fully
+    vectorized :class:`~repro.adversary.batched_env.BatchedAbrVecEnv` --
+    a single batched target-policy call, one ``r_opt`` solve and one
+    frame-ring scatter per step, the fastest choice by a wide margin (see
     ``benchmarks/bench_vec_rollout.py``).  All three backends produce the
-    same rollouts bit for bit; with subproc/batched the returned ``env``
-    is a fresh local instance.  ``recorder`` receives the trainer's
-    per-update diagnostics (see :class:`~repro.rl.ppo.PPO`); it never
-    alters results.
+    same rollouts bit for bit.  The returned ``env`` is env 0 on the
+    in-process ``"sync"`` path and an unstepped local instance otherwise.
+    ``recorder`` receives the trainer's per-update diagnostics (see
+    :class:`~repro.rl.ppo.PPO`); it never alters results.
     """
     cfg = config or default_abr_adversary_config()
     if n_envs != 1 or vec_backend != "sync":
         cfg = replace(cfg, n_envs=n_envs, vec_backend=vec_backend)
-
-    def make_env() -> AbrAdversaryEnv:
-        return AbrAdversaryEnv(
-            copy.deepcopy(target), video, weights=weights,
-            smoothing_weight=smoothing_weight, goal=goal,
-        )
-
-    if cfg.n_envs == 1:
-        env = AbrAdversaryEnv(
-            target, video, weights=weights, smoothing_weight=smoothing_weight,
-            goal=goal,
-        )
-        trainer = PPO(env, cfg, seed=seed, recorder=recorder)
+    # One env trains against the caller's target itself; a wider run
+    # gets a private copy, which PPO's make_vec_env copies once per env.
+    env = AbrAdversaryEnv(
+        target if cfg.n_envs == 1 else copy.deepcopy(target), video,
+        weights=weights, smoothing_weight=smoothing_weight, goal=goal,
+    )
+    trainer = PPO(env, cfg, seed=seed, recorder=recorder)
+    try:
         history = trainer.learn(total_steps, callback=callback)
-    else:
-        vec: VecEnv
-        if cfg.vec_backend == "subproc":
-            vec = SubprocVecEnv([make_env] * cfg.n_envs)
-            env = make_env()
-        elif cfg.vec_backend == "batched":
-            env = make_env()
-            vec = env.batched_vec_env(cfg.n_envs)
-        else:
-            vec = SyncVecEnv([make_env] * cfg.n_envs)
-            env = vec.envs[0]
-        try:
-            trainer = PPO(vec, cfg, seed=seed, recorder=recorder)
-            history = trainer.learn(total_steps, callback=callback)
-        finally:
-            # An exception mid-training must not strand forked workers.
-            if cfg.vec_backend == "subproc":
-                vec.close()
+    finally:
+        # An exception mid-training must not strand forked workers.
+        if isinstance(trainer.vec_env, SubprocVecEnv):
+            trainer.close()
     return AbrAdversaryResult(trainer=trainer, env=env, history=history)

@@ -71,6 +71,7 @@ from repro.abr.protocols.pensieve import PensieveAgent
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import ControlledBandwidth, StreamingSession
 from repro.abr.video import Video
+from repro.adversary.abr_env import check_adversary_config
 from repro.rl.spaces import Box
 from repro.rl.vec_env import VecEnv
 
@@ -156,12 +157,9 @@ class BatchedAbrVecEnv(VecEnv):
     ) -> None:
         if n_envs <= 0:
             raise ValueError("n_envs must be positive")
-        if bw_low_mbps <= 0 or bw_high_mbps <= bw_low_mbps:
-            raise ValueError("need 0 < bw_low < bw_high")
-        if goal not in ("qoe_regret", "rebuffer"):
-            raise ValueError(
-                f"unknown goal {goal!r}; choose from ('qoe_regret', 'rebuffer')"
-            )
+        check_adversary_config(
+            bw_low_mbps, bw_high_mbps, history_len, opt_window, goal
+        )
         if targets is not None and len(targets) != n_envs:
             raise ValueError(f"need {n_envs} targets, got {len(targets)}")
         super().__init__(n_envs, seed=seed)

@@ -209,12 +209,13 @@ def train_cc_adversary(
     each, split into 200 training iterations"; ``total_steps`` scales that
     down for laptop runs.
 
-    ``n_envs > 1`` collects rollouts from that many parallel emulators.
-    Each env gets its own base seed spawned from
+    Rollouts come from ``n_envs`` emulators stepped as one vectorized
+    env.  One env keeps ``seed`` itself as its emulator seed; with
+    ``n_envs > 1`` each env gets its own base seed spawned from
     ``np.random.SeedSequence(seed)``, so the emulators' loss processes are
     independent across envs yet the whole run is reproducible from
-    ``seed`` alone; ``n_envs == 1`` is the exact historical single-env
-    path.  ``vec_backend="subproc"`` runs one emulator per worker process
+    ``seed`` alone.  ``vec_backend="subproc"`` runs the ``n_envs > 1``
+    emulators in worker processes
     (:class:`~repro.rl.vec_env.SubprocVecEnv`) -- the right choice here,
     since the CC env's cost is the per-packet event loop itself -- and
     produces the same rollouts as the default in-process backend; the
@@ -247,30 +248,23 @@ def train_cc_adversary(
         return build
 
     if cfg.n_envs == 1:
-        env = CcAdversaryEnv(
-            sender_factory,
-            episode_intervals=episode_intervals,
-            smoothing_weight=smoothing_weight,
-            seed=seed,
-            goal=goal,
-        )
-        trainer = PPO(env, cfg, seed=seed, recorder=recorder)
-        history = trainer.learn(total_steps, callback=callback)
+        env_seeds = [seed]
     else:
         children = np.random.SeedSequence(seed).spawn(cfg.n_envs)
         env_seeds = [int(c.generate_state(1)[0] % (2**31 - 1)) for c in children]
-        vec: VecEnv
-        if cfg.vec_backend == "subproc":
-            vec = SubprocVecEnv([make_env(s) for s in env_seeds])
-            env = make_env(env_seeds[0])()
-        else:
-            vec = SyncVecEnv([make_env(s) for s in env_seeds])
-            env = vec.envs[0]
-        try:
-            trainer = PPO(vec, cfg, seed=seed, recorder=recorder)
-            history = trainer.learn(total_steps, callback=callback)
-        finally:
-            # An exception mid-training must not strand forked workers.
-            if cfg.vec_backend == "subproc":
-                vec.close()
+    factories = [make_env(s) for s in env_seeds]
+    vec: VecEnv
+    if cfg.n_envs > 1 and cfg.vec_backend == "subproc":
+        vec = SubprocVecEnv(factories)
+        env = factories[0]()
+    else:
+        vec = SyncVecEnv(factories)
+        env = vec.envs[0]
+    try:
+        trainer = PPO(vec, cfg, seed=seed, recorder=recorder)
+        history = trainer.learn(total_steps, callback=callback)
+    finally:
+        # An exception mid-training must not strand forked workers.
+        if isinstance(vec, SubprocVecEnv):
+            vec.close()
     return CcAdversaryResult(trainer=trainer, env=env, history=history)

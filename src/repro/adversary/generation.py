@@ -81,22 +81,14 @@ def rollout_abr_adversary(
         obs, reward, done, info = env.step(action)
         total += reward
         qualities.append(info["quality"])
-    return _finish_abr_rollout(env, name, total, qualities)
-
-
-def _finish_abr_rollout(
-    env: AbrAdversaryEnv, name: str, total: float, qualities: list[int]
-) -> AbrRollout:
-    """Package a finished adversary episode as an :class:`AbrRollout`."""
     session = env._session
     assert session is not None
-    summary = session.summary()
     trace = Trace.from_steps(
         env.chosen_bandwidths(), env.video.chunk_seconds, name=name
     )
     return AbrRollout(
         trace=trace,
-        target_qoe_mean=summary.qoe_mean,
+        target_qoe_mean=session.summary().qoe_mean,
         adversary_return=total,
         qualities=qualities,
     )
@@ -110,51 +102,50 @@ def _batched_abr_rollouts(
     rngs,
     batch_size: int,
 ) -> list[AbrRollout]:
-    """Roll out ``len(names)`` episodes over lockstep env copies.
+    """Roll out ``len(names)`` episodes in lockstep groups of ``batch_size``.
 
-    Actions stay on the serial per-env prediction path (continuous
-    adversary actions feed the simulator directly, so a batched policy
-    forward's last-ulp GEMM differences would change results); what the
-    batch amortizes is the dominant per-step cost, the exhaustive
-    ``r_opt`` search, via :meth:`AbrAdversaryEnv.batch_step` -- which is
-    pinned bitwise-identical to per-env ``step``.  Each lane replays
-    against its own deep copy, so (unlike the serial loop) the caller's
-    ``env`` is left untouched.
+    Each group runs on a fresh ``env.batched_vec_env(k)`` -- one batched
+    target call and one ``r_opt`` solve per step for all ``k`` lanes,
+    pinned bitwise-identical to the serial :meth:`AbrAdversaryEnv.step`.
+    Every episode lasts exactly ``video.n_chunks`` steps, so the lanes
+    finish together.  Actions stay on the serial per-lane prediction
+    path (continuous adversary actions feed the simulator directly, so a
+    batched policy forward's last-ulp GEMM differences would change
+    results).  The caller's ``env`` is only a configuration template and
+    is left untouched.
     """
-    rollouts: list[AbrRollout | None] = [None] * len(names)
-    queue = iter(range(len(names)))
-    lanes: list[list] = []  # [trace index, env copy, obs, return, qualities]
-
-    def refill() -> None:
-        while len(lanes) < batch_size:
-            i = next(queue, None)
-            if i is None:
-                return
-            env_i = copy.deepcopy(env)
-            lanes.append([i, env_i, env_i.reset(), 0.0, []])
-
-    refill()
-    while lanes:
-        actions = [
-            trainer.predict(lane[2], deterministic=deterministic, rng=rngs[lane[0]])
-            for lane in lanes
-        ]
-        outs = AbrAdversaryEnv.batch_step([lane[1] for lane in lanes], actions)
-        still: list[list] = []
-        for lane, (obs, reward, done, info) in zip(lanes, outs):
-            lane[2] = obs
-            lane[3] += reward
-            lane[4].append(info["quality"])
-            if done:
-                i, env_i, _, total, qualities = lane
-                rollouts[i] = _finish_abr_rollout(env_i, names[i], total, qualities)
-            else:
-                still.append(lane)
-        retired = len(still) != len(lanes)
-        lanes = still
-        if retired:
-            refill()
-    return rollouts  # type: ignore[return-value]
+    rollouts: list[AbrRollout] = []
+    n_chunks = env.video.n_chunks
+    for lo in range(0, len(names), batch_size):
+        lanes = range(lo, min(lo + batch_size, len(names)))
+        vec = env.batched_vec_env(len(lanes))
+        obs = vec.reset()
+        totals = [0.0] * len(lanes)
+        infos_per_lane: list[list[dict]] = [[] for _ in lanes]
+        for _ in range(n_chunks):
+            actions = [
+                trainer.predict(obs[j], deterministic=deterministic, rng=rngs[i])
+                for j, i in enumerate(lanes)
+            ]
+            obs, rewards, _dones, infos = vec.step(actions)
+            for j, info in enumerate(infos):
+                totals[j] += rewards[j]
+                infos_per_lane[j].append(info)
+        for j, i in enumerate(lanes):
+            steps = infos_per_lane[j]
+            trace = Trace.from_steps(
+                [info["bandwidth_mbps"] for info in steps],
+                env.video.chunk_seconds, name=names[i],
+            )
+            # StreamingSession.summary's qoe_mean, from the per-chunk QoE.
+            qoe_total = float(sum(info["chunk_qoe"] for info in steps))
+            rollouts.append(AbrRollout(
+                trace=trace,
+                target_qoe_mean=qoe_total / n_chunks,
+                adversary_return=float(totals[j]),
+                qualities=[info["quality"] for info in steps],
+            ))
+    return rollouts
 
 
 def _abr_batch_rollout_task(task) -> list[AbrRollout]:
@@ -188,21 +179,24 @@ def generate_abr_traces(
     parallel generation therefore *requires* ``seed`` (without it, noise
     would come from the trainer's serially-consumed generator).
 
-    ``batch_size`` >= 2 advances that many episodes in lockstep
-    (``None`` honours ``$REPRO_BATCH_SIZE``), batching each round's
-    exhaustive ``r_opt`` searches through
-    :meth:`AbrAdversaryEnv.batch_step`; it composes with ``workers``
-    (each worker task runs one lockstep batch) and obeys the same
+    ``batch_size`` >= 2 advances groups of that many episodes in lockstep
+    on :meth:`AbrAdversaryEnv.batched_vec_env` (``None`` honours
+    ``$REPRO_BATCH_SIZE``), one batched target decision and one ``r_opt``
+    solve per step for the whole group; it composes with ``workers``
+    (each worker task runs one group) and obeys the same
     stochastic-needs-``seed`` rule.  Results are bitwise-identical to
     the serial loop; the only side difference is that the caller's
-    ``env`` keeps its pre-call state (lanes replay deep copies) instead
-    of the last rollout's.
+    ``env`` keeps its pre-call state instead of the last rollout's.
     """
     if n_traces <= 0:
         raise ValueError("n_traces must be positive")
     names = _trace_names(names, name_prefix, n_traces)
     rngs = spawn_rngs(seed, n_traces)
     batch_size = resolve_batch_size(batch_size)
+    if type(env) is not AbrAdversaryEnv:
+        # Lockstep lanes run on the batched backend, which reproduces
+        # AbrAdversaryEnv's own step only; subclasses roll out serially.
+        batch_size = 0
     if batch_size >= 2 and seed is None and not deterministic:
         raise ValueError(
             "batched stochastic generation needs seed= (per-trace rngs)"

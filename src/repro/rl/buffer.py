@@ -1,14 +1,11 @@
 """Rollout storage and Generalized Advantage Estimation.
 
-The buffer stores ``(n_steps, n_envs)`` transitions.  With ``n_envs == 1``
-(the default) every array keeps the historical flat layout -- shape
-``(capacity, ...)`` -- and the scalar :meth:`add` / :meth:`compute_gae`
-paths are bit-for-bit the original single-env implementation, so existing
-single-env training runs are unchanged.  With ``n_envs > 1`` arrays gain
-an env axis -- ``(capacity, n_envs, ...)`` -- transitions arrive through
-:meth:`add_batch`, GAE runs one vectorized backward sweep over all envs,
-and :meth:`flattened` exposes ``(n_steps * n_envs, ...)`` views for the
-minibatch update.
+The buffer stores ``(n_steps, n_envs)`` transitions: every array is laid
+out ``(capacity, n_envs, ...)``, one row per time step holding one
+transition per env (a single env is simply a width of one).  Transitions
+arrive through :meth:`add_batch`, GAE runs one vectorized backward sweep
+over all envs, and :meth:`flattened` exposes time-major
+``(n_steps * n_envs, ...)`` views for the minibatch update.
 """
 
 from __future__ import annotations
@@ -59,9 +56,7 @@ class RolloutBuffer:
         self.n_envs = n_envs
         self.obs_dim = obs_dim
         self.act_dim = act_dim
-        # n_envs == 1 keeps the legacy flat layout; n_envs > 1 adds an
-        # env axis after time.
-        lead = (capacity,) if n_envs == 1 else (capacity, n_envs)
+        lead = (capacity, n_envs)
         self.obs = np.zeros(lead + (obs_dim,))
         if discrete:
             self.actions = np.zeros(lead, dtype=int)
@@ -89,29 +84,6 @@ class RolloutBuffer:
         """Number of stored transitions across all envs."""
         return self.pos * self.n_envs
 
-    def add(
-        self,
-        obs: np.ndarray,
-        action,
-        reward: float,
-        done: bool,
-        value: float,
-        log_prob: float,
-    ) -> None:
-        """Store one single-env transition (requires ``n_envs == 1``)."""
-        if self.n_envs != 1:
-            raise RuntimeError("add() is single-env only; use add_batch()")
-        if self.full:
-            raise RuntimeError("buffer is full; call reset() first")
-        i = self.pos
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self.dones[i] = done
-        self.values[i] = value
-        self.log_probs[i] = log_prob
-        self.pos += 1
-
     def add_batch(
         self,
         obs: np.ndarray,
@@ -129,61 +101,27 @@ class RolloutBuffer:
         if self.full:
             raise RuntimeError("buffer is full; call reset() first")
         i = self.pos
-        if self.n_envs == 1:
-            self.obs[i] = np.asarray(obs).reshape(self.obs_dim)
-            if self.discrete:
-                self.actions[i] = int(np.asarray(actions).reshape(()))
-            else:
-                self.actions[i] = np.asarray(actions).reshape(-1)
-            self.rewards[i] = np.asarray(rewards).reshape(())
-            self.dones[i] = bool(np.asarray(dones).reshape(()))
-            self.values[i] = np.asarray(values).reshape(())
-            self.log_probs[i] = np.asarray(log_probs).reshape(())
-        else:
-            self.obs[i] = obs
-            self.actions[i] = actions
-            self.rewards[i] = rewards
-            self.dones[i] = dones
-            self.values[i] = values
-            self.log_probs[i] = log_probs
+        self.obs[i] = obs
+        self.actions[i] = actions
+        self.rewards[i] = rewards
+        self.dones[i] = dones
+        self.values[i] = values
+        self.log_probs[i] = log_probs
         self.pos += 1
 
     def reset(self) -> None:
         self.pos = 0
 
-    def compute_gae(self, last_value, gamma: float, lam: float) -> None:
+    def compute_gae(self, last_values, gamma: float, lam: float) -> None:
         """Fill :attr:`advantages` and :attr:`returns` for the stored slice.
 
-        ``last_value`` bootstraps the value of the state following the final
-        stored transition (zero if that transition ended an episode): a
-        scalar for ``n_envs == 1``, else an ``(n_envs,)`` array.
+        ``last_values`` (``(n_envs,)``) bootstraps the value of the state
+        following each env's final stored transition (zero where that
+        transition ended an episode).
         """
         n = self.pos
         if n == 0:
             raise RuntimeError("cannot compute GAE on an empty buffer")
-        if self.n_envs == 1:
-            self._compute_gae_single(
-                float(np.asarray(last_value).reshape(-1)[0]), gamma, lam
-            )
-        else:
-            self._compute_gae_vec(last_value, gamma, lam)
-
-    def _compute_gae_single(self, last_value: float, gamma: float, lam: float) -> None:
-        n = self.pos
-        adv = 0.0
-        for t in reversed(range(n)):
-            if t == n - 1:
-                next_value = last_value
-            else:
-                next_value = self.values[t + 1]
-            non_terminal = 0.0 if self.dones[t] else 1.0
-            delta = self.rewards[t] + gamma * next_value * non_terminal - self.values[t]
-            adv = delta + gamma * lam * non_terminal * adv
-            self.advantages[t] = adv
-        self.returns[:n] = self.advantages[:n] + self.values[:n]
-
-    def _compute_gae_vec(self, last_values, gamma: float, lam: float) -> None:
-        n = self.pos
         last = np.asarray(last_values, dtype=float).reshape(self.n_envs)
         adv = np.zeros(self.n_envs)
         for t in reversed(range(n)):
@@ -197,15 +135,9 @@ class RolloutBuffer:
     def flattened(self) -> FlatRollout:
         """Views of the filled slice, flattened to ``(pos * n_envs, ...)``.
 
-        Ordering is time-major (all envs of step 0, then step 1, ...); for
-        ``n_envs == 1`` these are exactly the legacy per-step arrays.
+        Ordering is time-major (all envs of step 0, then step 1, ...).
         """
         n = self.pos
-        if self.n_envs == 1:
-            return FlatRollout(
-                self.obs[:n], self.actions[:n], self.log_probs[:n],
-                self.advantages[:n], self.returns[:n],
-            )
         return FlatRollout(
             self.obs[:n].reshape(-1, self.obs_dim),
             self.actions[:n].reshape(-1)
@@ -254,14 +186,6 @@ class RolloutBuffer:
         """Total reward of each *completed* episode in the stored slice."""
         n = self.pos
         totals: list[float] = []
-        if self.n_envs == 1:
-            acc = 0.0
-            for t in range(n):
-                acc += self.rewards[t]
-                if self.dones[t]:
-                    totals.append(acc)
-                    acc = 0.0
-            return totals
         for e in range(self.n_envs):
             acc = 0.0
             for t in range(n):
@@ -280,8 +204,6 @@ class RolloutBuffer:
         n = self.pos
         totals = self._episode_totals()
         if not totals:
-            if self.n_envs == 1:
-                return float(self.rewards[:n].sum())
             return float(self.rewards[:n].sum(axis=0).mean())
         return float(np.mean(totals))
 
@@ -296,11 +218,7 @@ class RolloutBuffer:
         totals = self._episode_totals()
         count = len(totals)
         if not totals:
-            n = self.pos
-            if self.n_envs == 1:
-                totals = [float(self.rewards[:n].sum())]
-            else:
-                totals = [float(s) for s in self.rewards[:n].sum(axis=0)]
+            totals = [float(s) for s in self.rewards[:self.pos].sum(axis=0)]
         return {
             "episode_return_min": float(np.min(totals)),
             "episode_return_max": float(np.max(totals)),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -27,7 +27,7 @@ from repro.rl.env import Env
 from repro.rl.policy import ActorCritic
 from repro.rl.running_stat import RunningMeanStd
 from repro.rl.spaces import Box
-from repro.rl.vec_env import SyncVecEnv, VecEnv, make_vec_env
+from repro.rl.vec_env import VecEnv, make_vec_env
 
 try:
     # ndarray.clip dispatches here anyway (numpy._core._methods._clip);
@@ -47,13 +47,14 @@ class PPOConfig:
     n_steps: int = 256
     batch_size: int = 64
     n_epochs: int = 4
-    #: Number of parallel environments per rollout.  ``n_envs == 1`` is the
-    #: exact historical single-env path; ``n_envs > 1`` collects via a
-    #: vectorized env with one batched forward pass per time step.
+    #: Number of parallel environments per rollout.  Every rollout goes
+    #: through a vectorized env with one batched forward pass per time
+    #: step; ``n_envs == 1`` is a one-env in-process
+    #: :class:`~repro.rl.vec_env.SyncVecEnv` whatever ``vec_backend`` says.
     n_envs: int = 1
     #: Rollout-collection backend for ``n_envs > 1``: ``"sync"`` steps all
     #: envs in-process (:class:`~repro.rl.vec_env.SyncVecEnv`; right when
-    #: the env step is cheap or batchable), ``"subproc"`` gives each env a
+    #: the env step is cheap), ``"subproc"`` gives each env a
     #: worker process (:class:`~repro.rl.vec_env.SubprocVecEnv`; right when
     #: the env step itself dominates, e.g. the packet-level CC emulator),
     #: and ``"batched"`` delegates to an env-provided fully vectorized
@@ -111,7 +112,10 @@ class PPO:
     Parameters
     ----------
     env:
-        The training environment.
+        The training environment: a :class:`~repro.rl.vec_env.VecEnv`
+        (whose width the trainer adopts), or a bare :class:`Env` that the
+        trainer vectorizes itself -- ``config.n_envs`` copies on
+        ``config.vec_backend``, or one in-process env at ``n_envs == 1``.
     config:
         Hyper-parameters; see :class:`PPOConfig`.
     seed:
@@ -137,9 +141,11 @@ class PPO:
         policy: ActorCritic | None = None,
         recorder: MetricsRecorder | None = None,
     ) -> None:
-        self.cfg = config if config is not None else PPOConfig()
+        # A private copy: adopting a vec env's width must never leak into
+        # the caller's config (and from there into the next trainer).
+        self.cfg = replace(config) if config is not None else PPOConfig()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self._owns_vec_env = False
+        self._owns_vec_env = not isinstance(env, VecEnv)
         if isinstance(env, VecEnv):
             if self.cfg.n_envs not in (1, env.n_envs):
                 raise ValueError(
@@ -147,27 +153,18 @@ class PPO:
                     f"given vectorized env of {env.n_envs} envs"
                 )
             self.cfg.n_envs = env.n_envs
-            self.vec_env: VecEnv | None = env
-            # Subproc workers hold their envs remotely; ``self.env`` is
-            # only available (and only needed) on in-process backends.
-            self.env = env.envs[0] if isinstance(env, SyncVecEnv) else None
-        elif self.cfg.n_envs > 1:
-            self.vec_env = make_vec_env(
-                env, self.cfg.n_envs, backend=self.cfg.vec_backend
-            )
-            self._owns_vec_env = True
-            self.env = env
-        else:
-            self.vec_env = None
-            self.env = env
         self.cfg.validate()
+        if self._owns_vec_env:
+            # One env always steps in-process, whatever the backend.
+            backend = self.cfg.vec_backend if self.cfg.n_envs > 1 else "sync"
+            env = make_vec_env(env, self.cfg.n_envs, backend=backend)
+        self.vec_env: VecEnv = env
         self.rng = np.random.default_rng(seed)
-        space_owner = self.vec_env if self.vec_env is not None else self.env
-        obs_space = space_owner.observation_space
+        obs_space = self.vec_env.observation_space
         obs_dim = obs_space.dim if isinstance(obs_space, Box) else 1
         self.policy = policy if policy is not None else ActorCritic(
             obs_dim,
-            space_owner.action_space,
+            self.vec_env.action_space,
             hidden=self.cfg.hidden,
             activation=self.cfg.activation,
             rng=self.rng,
@@ -265,46 +262,14 @@ class PPO:
             return self.obs_rms.normalize(obs)
         return np.asarray(obs, dtype=float)
 
-    def collect_rollout(self) -> float | np.ndarray:
+    def collect_rollout(self) -> np.ndarray:
         """Fill the buffer with ``n_steps`` transitions per env.
 
-        Returns the bootstrap value(s) of the state(s) following the final
-        stored transition: a float on the single-env path, an ``(n_envs,)``
-        array on the vectorized path.
+        All envs advance together, with one stacked forward pass per time
+        step.  Returns the ``(n_envs,)`` bootstrap values of the states
+        following the final stored transitions.
         """
-        if self.vec_env is None:
-            return self._collect_rollout_single()
-        return self._collect_rollout_vec()
-
-    def _collect_rollout_single(self) -> float:
-        """The historical scalar loop: one env, one forward pass per step."""
-        if self._obs is None:
-            self._obs = self.env.reset(seed=int(self.rng.integers(2**31 - 1)))
-        self.buffer.reset()
-        raw_batch = np.zeros((self.cfg.n_steps, self.policy.obs_dim))
-        done = False
-        for t in range(self.cfg.n_steps):
-            raw_batch[t] = self._obs
-            norm_obs = self._normalize(self._obs)
-            action, log_prob, value = self.policy.act(norm_obs, self.rng)
-            next_obs, reward, done, _info = self.env.step(action)
-            self.buffer.add(norm_obs, action, float(reward), done, value, log_prob)
-            self._obs = self.env.reset() if done else next_obs
-            self.total_steps += 1
-        if done:
-            last_value = 0.0
-        else:
-            last_value = float(self.policy.value(np.atleast_2d(self._normalize(self._obs)))[0])
-        if self.cfg.normalize_obs:
-            self.obs_rms.update(raw_batch)
-        return last_value
-
-    def _collect_rollout_vec(self) -> np.ndarray:
-        """Batched rollout: all envs advance together, one stacked forward
-        pass per time step.  With one env this performs the same operations
-        and random draws as :meth:`_collect_rollout_single`, bit for bit."""
         vec = self.vec_env
-        assert vec is not None
         n_envs = vec.n_envs
         if self._obs is None:
             self._obs = vec.reset(seed=int(self.rng.integers(2**31 - 1)))
@@ -621,15 +586,14 @@ class PPO:
         return self.history
 
     def close(self) -> None:
-        """Shut down a vectorized env this trainer built internally.
+        """Shut down the vectorized env this trainer built internally.
 
-        Only envs constructed by :class:`PPO` itself (prototype env with
-        ``n_envs > 1``) are closed; an externally supplied env -- vec or
-        not -- stays the caller's to manage.  Idempotent.
+        Only a vec env constructed by :class:`PPO` itself (from a bare
+        :class:`Env`) is closed; an externally supplied vec env stays the
+        caller's to manage.  Idempotent.
         """
-        if self._owns_vec_env and self.vec_env is not None:
+        if self._owns_vec_env:
             self.vec_env.close()
-            self.vec_env = None
 
     # -- deterministic acting and persistence ---------------------------------
 

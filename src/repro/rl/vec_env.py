@@ -13,12 +13,12 @@ Two interchangeable backends implement the same VecEnv interface
   advance on separate cores, with IPC per vec-step scaling with the
   worker count rather than the env count.
 
-Semantics match the single-env PPO loop exactly, on both backends:
+Semantics are shared by both backends:
 
 - **Auto-reset.**  When an env reports ``done`` its terminal observation is
   stashed in ``info["terminal_observation"]`` and the env is immediately
-  reset (seedless, like the single-env loop), so :meth:`step` always
-  returns a valid next observation for every env.
+  reset (seedless), so :meth:`step` always returns a valid next
+  observation for every env.
 - **Seeding.**  ``reset(seed=s)`` with one env forwards ``s`` verbatim, so
   a one-env VecEnv reproduces ``Env.reset(seed=s)`` bit for bit.  With
   several envs, ``np.random.SeedSequence(s)`` is spawned into one child
@@ -27,13 +27,12 @@ Semantics match the single-env PPO loop exactly, on both backends:
   random stream is independent yet fully determined by ``s``.  The two
   backends derive identical per-env seeds, which is what makes their
   rollouts bitwise interchangeable (tests/test_vec_env.py).
-- **Batched stepping** (sync backend only).  If every env is the same
-  class and that class defines ``batch_step(envs, actions)`` (a list of
-  ``(obs, reward, done, info)`` tuples), stepping is delegated to it.
-  This lets environments vectorize their own hot paths across the batch
-  -- e.g. the ABR adversary's exhaustive ``r_opt`` search.  ``batch_step``
-  is exact (same results as per-env stepping), so subproc workers simply
-  step their single env.
+
+PPO always trains through this interface: a bare :class:`Env` becomes a
+one-env :class:`SyncVecEnv`.  Envs that can advance a whole batch in one
+vectorized pass provide their own backend instead (``make_vec_env(...,
+backend="batched")``, e.g. the ABR adversary's
+:class:`~repro.adversary.batched_env.BatchedAbrVecEnv`).
 """
 
 from __future__ import annotations
@@ -100,6 +99,11 @@ class VecEnv:
 
     def _check_actions(self, actions: np.ndarray) -> np.ndarray:
         actions = np.asarray(actions)
+        if actions.ndim == 0:
+            raise ValueError(
+                f"expected one action per env ({self.n_envs}), got a 0-d "
+                f"action {actions!r}; pass a sequence of length n_envs"
+            )
         if len(actions) != self.n_envs:
             raise ValueError(
                 f"expected {self.n_envs} actions, got {len(actions)}"
@@ -135,13 +139,6 @@ class SyncVecEnv(VecEnv):
                 raise ValueError("all envs must share one observation space")
             if env.action_space != self.action_space:
                 raise ValueError("all envs must share one action space")
-        self._batch_step = self._resolve_batch_step()
-
-    def _resolve_batch_step(self):
-        cls = type(self.envs[0])
-        if any(type(env) is not cls for env in self.envs):
-            return None
-        return getattr(cls, "batch_step", None)
 
     # -- env API ------------------------------------------------------------
 
@@ -164,26 +161,31 @@ class SyncVecEnv(VecEnv):
         ``obs`` is ``(n_envs, obs_dim)``; ``rewards`` and ``dones`` are
         ``(n_envs,)``.  Envs that finish are auto-reset and their terminal
         observation is preserved in ``info["terminal_observation"]``.
+        Each env is stepped and (if done) reset before the next one moves
+        -- the order a :class:`SubprocVecEnv` worker uses on its shard.
         """
         actions = self._check_actions(actions)
-        if self._batch_step is not None:
-            results = self._batch_step(self.envs, actions)
-        else:
-            results = [env.step(actions[i]) for i, env in enumerate(self.envs)]
-        obs_rows: list[np.ndarray] = []
-        rewards = np.zeros(self.n_envs)
-        dones = np.zeros(self.n_envs, dtype=bool)
+        n = self.n_envs
+        # Rows are written into one preallocated block: on the one-env
+        # path every PPO step runs through here, and np.stack would cost
+        # as much as the bookkeeping below put together.
+        stacked: np.ndarray | None = None
+        rewards = np.empty(n)
+        dones = np.empty(n, dtype=bool)
         infos: list[dict] = []
-        for i, (obs, reward, done, info) in enumerate(results):
+        for i, env in enumerate(self.envs):
+            obs, reward, done, info = env.step(actions[i])
             if done:
                 info = dict(info)
                 info["terminal_observation"] = np.asarray(obs, dtype=float)
-                obs = self.envs[i].reset()
-            obs_rows.append(np.asarray(obs, dtype=float))
+                obs = env.reset()
+            if stacked is None:
+                stacked = np.empty((n,) + np.shape(obs))
+            stacked[i] = obs
             rewards[i] = reward
             dones[i] = done
             infos.append(info)
-        return np.stack(obs_rows), rewards, dones, infos
+        return stacked, rewards, dones, infos
 
     def close(self) -> None:
         for env in self.envs:
@@ -256,10 +258,9 @@ class SubprocVecEnv(VecEnv):
 
     Use this backend when the environment's *step* dominates wall-clock --
     the packet-level CC emulator burns its time in the per-packet event
-    loop, which the sync backend serializes on one core.  For envs whose
-    cost is in the policy pass or in a batchable solver (the ABR
-    adversary's ``r_opt``), prefer :class:`SyncVecEnv`: IPC per step costs
-    more than the step itself.
+    loop, which the sync backend serializes on one core.  For cheap env
+    steps prefer :class:`SyncVecEnv` (IPC per step costs more than the
+    step itself), and for the ABR adversary its ``"batched"`` backend.
 
     The ``n_envs`` environments are split into ``n_workers`` contiguous
     shards (one process each, defaulting to one worker per available

@@ -11,6 +11,7 @@ from repro.adversary.abr_env import (
     AbrAdversaryEnv,
     train_abr_adversary,
 )
+from repro.adversary.batched_env import BatchedAbrVecEnv
 from repro.rl.ppo import PPOConfig
 
 
@@ -37,6 +38,23 @@ class TestActionMapping:
     def test_invalid_bounds_rejected(self, video):
         with pytest.raises(ValueError):
             AbrAdversaryEnv(BufferBased(), video, bw_low_mbps=2.0, bw_high_mbps=1.0)
+
+
+@pytest.mark.parametrize("field", ["history_len", "opt_window"])
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda video, **kw: AbrAdversaryEnv(BufferBased(), video, **kw),
+        lambda video, **kw: BatchedAbrVecEnv(BufferBased(), video, 2, **kw),
+    ],
+    ids=["serial", "batched"],
+)
+def test_window_config_below_one_raises_named_error(video, build, field, value):
+    # Both backends must refuse the config up front, before a window
+    # below one can index an empty ring or mis-size the observation.
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        build(video, **{field: value})
 
 
 class TestEpisode:

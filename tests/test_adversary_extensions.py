@@ -67,6 +67,25 @@ class TestPerturbationAdversary:
         with pytest.raises(ValueError):
             PerturbationAdversaryEnv(BufferBased(), video, base_trace, max_relative=1.5)
 
+    def test_lockstep_generation_matches_serial(self, video, base_trace):
+        # The batched backend reproduces AbrAdversaryEnv's own step, not
+        # the perturbation mapping: lockstep generation must still give
+        # the serial corpus, and the batched backend must refuse the env.
+        from repro.adversary.generation import generate_abr_traces
+        from repro.rl.ppo import PPO, PPOConfig
+
+        env = PerturbationAdversaryEnv(BufferBased(), video, base_trace)
+        trainer = PPO(env, PPOConfig(n_steps=32, batch_size=32, hidden=(8,)), seed=0)
+        serial, lockstep = (
+            generate_abr_traces(trainer, env, 3, seed=4, batch_size=bs)
+            for bs in (0, 2)
+        )
+        for a, b in zip(serial, lockstep):
+            assert a.trace.bandwidths_mbps.tobytes() == b.trace.bandwidths_mbps.tobytes()
+            assert a.adversary_return == b.adversary_return
+        with pytest.raises(ValueError, match="batched"):
+            env.batched_vec_env(2)
+
     def test_reward_still_equation_1(self, video, base_trace):
         env = PerturbationAdversaryEnv(BufferBased(), video, base_trace)
         env.reset()

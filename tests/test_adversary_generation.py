@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.abr.protocols import BufferBased, run_session
+from repro.abr.protocols import MPC, BufferBased, run_session
 from repro.abr.video import Video
 from repro.adversary import (
     generate_abr_traces,
@@ -15,6 +15,13 @@ from repro.adversary import (
 )
 from repro.cc import BBRSender
 from repro.rl.ppo import PPOConfig
+from tests.test_batched_identity import make_pensieve
+
+LOCKSTEP_TARGETS = {
+    "bb": BufferBased,
+    "mpc": lambda: MPC(horizon=4),
+    "pensieve": lambda: make_pensieve(deterministic=True),
+}
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +79,66 @@ class TestAbrGeneration:
         assert len({r.trace.name for r in rolls}) == 3
         with pytest.raises(ValueError):
             generate_abr_traces(result.trainer, result.env, 0)
+
+
+@pytest.fixture(scope="module", params=sorted(LOCKSTEP_TARGETS))
+def lockstep_setup(request):
+    video = Video.synthetic(n_chunks=10, seed=1)
+    cfg = PPOConfig(n_steps=64, batch_size=32, hidden=(8,))
+    return train_abr_adversary(
+        LOCKSTEP_TARGETS[request.param](), video, total_steps=128, seed=2,
+        config=cfg,
+    )
+
+
+def _rollout_bytes(rolls):
+    """Everything a corpus consumer reads, as exact bytes / hex floats."""
+    return [
+        (
+            r.trace.name,
+            r.trace.bandwidths_mbps.tobytes(),
+            list(map(int, r.qualities)),
+            float(r.target_qoe_mean).hex(),
+            float(r.adversary_return).hex(),
+        )
+        for r in rolls
+    ]
+
+
+class TestLockstepGeneration:
+    """``batch_size >= 2`` (lanes in lockstep) must equal the serial loop."""
+
+    N_TRACES = 5  # ragged last group at every batch size below
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("batch_size", [2, 4, 8])
+    def test_matches_serial_bitwise(self, lockstep_setup, batch_size, deterministic):
+        result = lockstep_setup
+        seed = None if deterministic else 17
+        serial, lockstep = (
+            generate_abr_traces(
+                result.trainer, result.env, self.N_TRACES,
+                deterministic=deterministic, seed=seed, batch_size=bs,
+            )
+            for bs in (0, batch_size)
+        )
+        assert _rollout_bytes(lockstep) == _rollout_bytes(serial)
+
+    def test_parallel_lockstep_matches_serial_bitwise(self, lockstep_setup):
+        result = lockstep_setup
+        serial = generate_abr_traces(
+            result.trainer, result.env, self.N_TRACES, seed=5, batch_size=0
+        )
+        parallel = generate_abr_traces(
+            result.trainer, result.env, self.N_TRACES, seed=5, batch_size=2,
+            workers=2,
+        )
+        assert _rollout_bytes(parallel) == _rollout_bytes(serial)
+
+    def test_stochastic_lockstep_requires_seed(self, abr_setup):
+        _video, result = abr_setup
+        with pytest.raises(ValueError, match="seed"):
+            generate_abr_traces(result.trainer, result.env, 3, batch_size=2)
 
 
 class TestCcGeneration:

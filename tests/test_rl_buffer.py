@@ -6,9 +6,18 @@ import pytest
 from repro.rl.buffer import RolloutBuffer
 
 
+def add(buffer, obs, action, reward, done, value, log_prob):
+    """Store one single-env transition through the batched API."""
+    buffer.add_batch(
+        np.asarray(obs, dtype=float)[None], np.asarray(action)[None],
+        np.array([reward]), np.array([done]), np.array([value]),
+        np.array([log_prob]),
+    )
+
+
 def fill(buffer, rewards, values, dones):
     for r, v, d in zip(rewards, values, dones):
-        buffer.add(np.zeros(buffer.obs.shape[1]), 0, r, d, v, 0.0)
+        add(buffer, np.zeros(buffer.obs_dim), 0, r, d, v, 0.0)
 
 
 class TestRolloutBuffer:
@@ -16,7 +25,7 @@ class TestRolloutBuffer:
         buf = RolloutBuffer(2, 1, 1, discrete=True)
         fill(buf, [1, 1], [0, 0], [False, False])
         with pytest.raises(RuntimeError):
-            buf.add(np.zeros(1), 0, 1.0, False, 0.0, 0.0)
+            add(buf, np.zeros(1), 0, 1.0, False, 0.0, 0.0)
 
     def test_invalid_capacity_raises(self):
         with pytest.raises(ValueError):
@@ -32,21 +41,21 @@ class TestRolloutBuffer:
         delta0 = 1.0 + gamma * 1.0 - 0.5
         adv1 = delta1
         adv0 = delta0 + gamma * lam * adv1
-        np.testing.assert_allclose(buf.advantages[:2], [adv0, adv1])
-        np.testing.assert_allclose(buf.returns[:2], [adv0 + 0.5, adv1 + 1.0])
+        np.testing.assert_allclose(buf.advantages[:2, 0], [adv0, adv1])
+        np.testing.assert_allclose(buf.returns[:2, 0], [adv0 + 0.5, adv1 + 1.0])
 
     def test_gae_does_not_bootstrap_across_done(self):
         buf = RolloutBuffer(2, 1, 1, discrete=True)
         fill(buf, [1.0, 1.0], [0.5, 0.5], [True, False])
         buf.compute_gae(10.0, 0.99, 0.95)
         # First step ends an episode: advantage is just r - V.
-        np.testing.assert_allclose(buf.advantages[0], 1.0 - 0.5)
+        np.testing.assert_allclose(buf.advantages[0, 0], 1.0 - 0.5)
 
     def test_terminal_last_value_ignored_when_done(self):
         buf = RolloutBuffer(1, 1, 1, discrete=True)
         fill(buf, [2.0], [0.0], [True])
         buf.compute_gae(100.0, 0.99, 0.95)
-        np.testing.assert_allclose(buf.advantages[0], 2.0)
+        np.testing.assert_allclose(buf.advantages[0, 0], 2.0)
 
     def test_gae_lambda_one_equals_monte_carlo(self):
         buf = RolloutBuffer(3, 1, 1, discrete=True)
@@ -56,7 +65,7 @@ class TestRolloutBuffer:
         gamma = 0.9
         buf.compute_gae(0.0, gamma, 1.0)
         mc0 = 1.0 + gamma * 2.0 + gamma**2 * 3.0
-        np.testing.assert_allclose(buf.returns[0], mc0, rtol=1e-12)
+        np.testing.assert_allclose(buf.returns[0, 0], mc0, rtol=1e-12)
 
     def test_empty_gae_raises(self):
         buf = RolloutBuffer(2, 1, 1, discrete=True)
@@ -72,8 +81,8 @@ class TestRolloutBuffer:
 
     def test_continuous_action_storage(self):
         buf = RolloutBuffer(2, 2, 3, discrete=False)
-        buf.add(np.zeros(2), np.array([1.0, 2.0, 3.0]), 0.0, False, 0.0, 0.0)
-        np.testing.assert_allclose(buf.actions[0], [1.0, 2.0, 3.0])
+        add(buf, np.zeros(2), np.array([1.0, 2.0, 3.0]), 0.0, False, 0.0, 0.0)
+        np.testing.assert_allclose(buf.actions[0, 0], [1.0, 2.0, 3.0])
 
     def test_mean_episode_reward(self):
         buf = RolloutBuffer(5, 1, 1, discrete=True)
@@ -93,4 +102,4 @@ class TestRolloutBuffer:
         buf.reset()
         assert not buf.full
         fill(buf, [2.0], [0.0], [False])
-        assert buf.rewards[0] == 2.0
+        assert buf.rewards[0, 0] == 2.0

@@ -1,18 +1,14 @@
 """Tests for the vec-env backends (repro.rl.vec_env) and PPO integration.
 
-The load-bearing guarantees are exact equivalences: a one-env VecEnv must
-reproduce the single-env ``collect_rollout`` path bit for bit,
-``AbrAdversaryEnv.batch_step`` must return exactly what stepping each env
-individually would, and ``SubprocVecEnv`` must produce the same rollouts
-as ``SyncVecEnv`` for the same seed.
+The load-bearing guarantees are exact equivalences: a trainer handed a
+bare env must train exactly like one handed the same env wrapped in a
+one-env ``SyncVecEnv``, and ``SubprocVecEnv`` must produce the same
+rollouts as ``SyncVecEnv`` for the same seed.
 """
 
 import numpy as np
 import pytest
 
-from repro.abr.protocols import BufferBased
-from repro.abr.video import Video
-from repro.adversary.abr_env import AbrAdversaryEnv
 from repro.adversary.cc_env import CcAdversaryEnv
 from repro.cc.protocols.bbr import BBRSender
 from repro.rl.ppo import PPO, PPOConfig
@@ -44,6 +40,12 @@ class TestSyncVecEnvBasics:
         vec.reset(seed=0)
         with pytest.raises(ValueError):
             vec.step(np.array([0, 1, 0]))
+
+    def test_rejects_0d_action_with_named_error(self):
+        vec = SyncVecEnv([MatchParityEnv])
+        vec.reset(seed=0)
+        with pytest.raises(ValueError, match="0-d action"):
+            vec.step(3)
 
     def test_step_shapes(self):
         vec = SyncVecEnv([TargetPointEnv] * 4)
@@ -126,52 +128,6 @@ class TestSingleEnvEquivalence:
         for ws, wv in zip(single.policy.get_weights(), vec.policy.get_weights()):
             assert np.array_equal(ws, wv)
         assert hist_s[-1]["mean_episode_reward"] == hist_v[-1]["mean_episode_reward"]
-
-
-class TestAbrBatchStep:
-    def test_batch_step_matches_individual_steps(self):
-        video = Video.synthetic(n_chunks=12, seed=2)
-        n = 4
-        vec_batched = SyncVecEnv(
-            [lambda: AbrAdversaryEnv(BufferBased(), video)] * n
-        )
-        vec_serial = SyncVecEnv(
-            [lambda: AbrAdversaryEnv(BufferBased(), video)] * n
-        )
-        assert vec_batched._batch_step is not None
-        vec_serial._batch_step = None  # force the per-env fallback
-
-        obs_b = vec_batched.reset(seed=7)
-        obs_s = vec_serial.reset(seed=7)
-        assert np.array_equal(obs_b, obs_s)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            actions = rng.uniform(-1.0, 1.0, size=(n, 1))
-            obs_b, rew_b, done_b, _ = vec_batched.step(actions)
-            obs_s, rew_s, done_s, _ = vec_serial.step(actions)
-            assert np.array_equal(obs_b, obs_s)
-            assert np.array_equal(rew_b, rew_s)
-            assert np.array_equal(done_b, done_s)
-
-    def test_batch_step_handles_heterogeneous_videos(self):
-        # Different video objects per env fall into separate r_opt groups
-        # (grouping is by identity); results must still match serial.
-        videos = [Video.synthetic(n_chunks=12, seed=s) for s in (2, 2, 3)]
-        vec_batched = SyncVecEnv(
-            [(lambda v=v: AbrAdversaryEnv(BufferBased(), v)) for v in videos]
-        )
-        vec_serial = SyncVecEnv(
-            [(lambda v=v: AbrAdversaryEnv(BufferBased(), v)) for v in videos]
-        )
-        vec_serial._batch_step = None
-        vec_batched.reset(seed=1)
-        vec_serial.reset(seed=1)
-        rng = np.random.default_rng(4)
-        for _ in range(8):
-            actions = rng.uniform(-1.0, 1.0, size=(3, 1))
-            _, rew_b, _, _ = vec_batched.step(actions)
-            _, rew_s, _, _ = vec_serial.step(actions)
-            assert np.array_equal(rew_b, rew_s)
 
 
 def _cc_factory(seed):
@@ -384,6 +340,14 @@ class TestVecPPOTraining:
         vec = SyncVecEnv([MatchParityEnv] * 3)
         ppo = PPO(vec, PPOConfig(n_steps=32, batch_size=48), seed=0)
         assert ppo.cfg.n_envs == 3
+
+    def test_adopting_vec_width_leaves_caller_config_alone(self):
+        cfg = PPOConfig(n_steps=32, batch_size=32)
+        PPO(SyncVecEnv([TargetPointEnv] * 4), cfg, seed=0)
+        assert cfg.n_envs == 1
+        # The same config must still build a one-env trainer afterwards.
+        ppo = PPO(TargetPointEnv(), cfg, seed=0)
+        assert ppo.vec_env.n_envs == 1 and ppo.cfg.n_envs == 1
 
     def test_vec_env_instance_conflicting_n_envs_raises(self):
         vec = SyncVecEnv([MatchParityEnv] * 3)
