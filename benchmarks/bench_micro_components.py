@@ -44,7 +44,8 @@ def test_bench_mlp_forward(benchmark):
 
 
 def test_bench_mpc_decision(benchmark, video48):
-    """One robust-MPC plan search (6^5 = 7776 plans, vectorized)."""
+    """One robust-MPC decision: all 6^5 = 7776 plans scored on the prefix
+    lattice it shares with r_opt."""
     mpc = MPC()
     mpc.reset(video48)
     session = StreamingSession(video48, ControlledBandwidth(2.0))

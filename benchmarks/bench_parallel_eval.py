@@ -49,7 +49,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def build_workload(smoke: bool):
-    """A corpus evaluation dominated by MPC's per-chunk combo search."""
+    """A corpus evaluation dominated by MPC's per-chunk plan search."""
     video = Video.synthetic(n_chunks=48, seed=1)
     n_traces = 12 if smoke else 40
     traces = random_abr_traces(n_traces, seed=0)

@@ -15,10 +15,10 @@ modes per workload:
 Workloads: Pensieve policy heads at production size (1024x512; the
 headline row, where per-request NN forwards dominate) and suite size
 (64x32; where fixed per-request codec/session cost dominates), and MPC
-(where the win comes from plan memoization, not batching: the 6^h scan
-vectorizes poorly across many lanes).  Transports: in-process (the
-serving strategy minus kernel sockets) and real HTTP over the binary
-codec.
+(where coalescing scores a window's lanes with one plan-lattice call
+per lookahead group, and plan memoization skips repeat states).
+Transports: in-process (the serving strategy minus kernel sockets) and
+real HTTP over the binary codec.
 
 Guards (CI runs ``--smoke``):
 
@@ -187,8 +187,8 @@ def main() -> int:
         f"(floor {floor:.0f}x)",
     ]
     if "mpc   coalesced  inproc" in rps and "mpc   batch=1    inproc" in rps:
-        # Tracks the lane-tiled plan scan (BatchedMPC._SCAN_LANE_TILE):
-        # before tiling, the uncached coalesced MPC row lost to batch=1.
+        # Tracks the batched plan search: uncached coalesced MPC scores a
+        # window's lanes in one lattice call per (video, lookahead) group.
         mpc_speedup = (statistics.median(rps["mpc   coalesced  inproc"])
                        / statistics.median(rps["mpc   batch=1    inproc"]))
         lines.append(

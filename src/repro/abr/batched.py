@@ -5,8 +5,8 @@ one video at a time: observe, select, download, repeat.  This module runs
 ``K`` independent :class:`~repro.abr.simulator.StreamingSession`s
 side-by-side and serves all their bitrate decisions with **one** batched
 policy evaluation per chunk round -- a single flat-NN forward for
-Pensieve, one vectorized combo scan per (video, horizon) group for MPC,
-and one broadcast rule evaluation for BB/BOLA.  Sessions retire
+Pensieve, one call of MPC's plan-lattice kernel per (video, lookahead)
+group, and one broadcast rule evaluation for BB/BOLA.  Sessions retire
 independently as they finish and free lanes are refilled from the work
 queue, so ragged batches (sessions with different chunk counts) keep all
 lanes busy.
@@ -21,10 +21,11 @@ The simulator math is untouched: every lane owns a private
 the *action sequence* is identical, and the adapters below guarantee
 that:
 
-- BB, BOLA and MPC are replayed with elementwise/broadcast numpy ops in
-  exactly the serial op order, so every comparison and argmax sees
-  bitwise-identical floats regardless of batch width -- identity **by
-  construction**.
+- BB and BOLA are replayed with elementwise/broadcast numpy ops in
+  exactly the serial op order, and MPC runs the very kernel serial
+  ``MPC.select`` calls with one lane, so every comparison and argmax
+  sees bitwise-identical floats regardless of batch width -- identity
+  **by construction**.
 - Pensieve's batched ``(K, d)`` forward is *not* bitwise equal to K
   single-row forwards (BLAS GEMM results depend on the batch dimension
   in the last ulp), so its identity rests on **argmax stability**: the
@@ -57,12 +58,10 @@ from repro.abr.features import N_HISTORY, feature_dim
 from repro.abr.protocols.base import AbrPolicy
 from repro.abr.protocols.bola import Bola
 from repro.abr.protocols.buffer_based import BufferBased
-from repro.abr.protocols.mpc import MPC
+from repro.abr.protocols.mpc import MPC, _lookahead_actions
 from repro.abr.protocols.pensieve import PensieveAgent
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import (
-    LINK_RTT_S,
-    PACKET_PAYLOAD_PORTION,
     BandwidthSchedule,
     ChunkIndexedBandwidth,
     ChunkResult,
@@ -294,116 +293,49 @@ class BatchedMPC(BatchedAbrPolicy):
     Throughput prediction is sequential per-lane state (error window,
     last prediction) and cheap, so each lane keeps a private MPC clone
     and runs the *serial* ``_predict_throughput``.  The expensive part --
-    the exhaustive ``6^h`` plan scan -- is batched: lanes sharing a
-    (video, lookahead-steps) pair are scored in one ``(L, n_combos)``
-    sweep whose elementwise ops replay the serial scan's exact order, so
-    per-lane rows are bitwise identical to the serial arrays.
+    the exhaustive plan search -- is batched: lanes sharing a (video,
+    lookahead-steps) pair are scored by one call of the lattice kernel
+    serial :meth:`MPC.select` makes with one lane, whose ops are
+    elementwise, so every lane's plan values are bitwise the serial ones.
     """
 
     def __init__(self, policy: MPC) -> None:
         self._prototype = policy
         self._clones: dict[int, MPC] = {}
-        #: shared plan tables, keyed like MPC._combos_key
-        self._combos: dict[tuple[int, int], dict[int, np.ndarray]] = {}
 
     def start(self, lane: int, session: StreamingSession, rng: np.random.Generator) -> None:
         p = self._prototype
         clone = MPC(horizon=p.horizon, window=p.window, robust=p.robust, weights=p.weights)
-        key = (session.video.n_bitrates, p.horizon)
-        if key in self._combos:
-            # Plan tables depend only on (n_bitrates, horizon): share them
-            # across lanes instead of rebuilding 6^h combo arrays per lane.
-            clone._combos = self._combos[key]
-            clone._combos_key = key
         clone.reset(session.video)
-        self._combos[key] = clone._combos
         self._clones[lane] = clone
 
     def select(self, lanes, sessions):
         actions = np.zeros(len(lanes), dtype=int)
-        # (video identity, steps) -> list of (position, clone, observation, rate)
-        groups: dict[tuple[int, int], list[tuple]] = {}
+        members = []
         for pos, (lane, session) in enumerate(zip(lanes, sessions)):
-            clone = self._clones[lane]
             obs = session.observation()
-            predicted = clone._predict_throughput(obs)
-            if predicted <= 0:
-                actions[pos] = 0  # serial: no information yet, start conservative
-                continue
-            steps = min(clone.horizon, obs.chunks_remaining)
-            rate = predicted * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
-            groups.setdefault((id(session.video), steps), []).append(
-                (pos, clone, obs, rate)
-            )
-        for (_, steps), members in groups.items():
-            self._scan_group(steps, members, actions)
+            predicted = self._clones[lane]._predict_throughput(obs)
+            # Without a prediction the lane keeps action 0, as serial MPC
+            # starts conservative.
+            if predicted > 0:
+                members.append((pos, session.video, obs, predicted))
+        self._solve(members, actions)
         return actions
 
-    #: Lane-block size for the plan scan.  At horizon 4 the sweep is 1296
-    #: combos wide, so a full ``(L, 1296)`` pass streams several MB of
-    #: float64 temporaries per op once L grows -- the uncached batched-MPC
-    #: regression measured against serial in the serving benchmark.
-    #: Scanning a few lanes at a time keeps every temporary ~100 KB, i.e.
-    #: L2-resident across the whole op chain.  Rows are independent, so
-    #: tiling changes nothing at the bit level.
-    _SCAN_LANE_TILE = 8
-
-    @staticmethod
-    def _scan_group(steps: int, members: list[tuple], actions: np.ndarray) -> None:
-        clone0 = members[0][1]
-        video = clone0._video
-        combos = clone0._combos[steps]
-        qualities = clone0._qualities
-        weights = clone0.weights
-        n = combos.shape[0]
-        m = len(members)
-
-        rate = np.array([rate for _, _, _, rate in members])
-        chunks = np.array([obs.chunk_index for _, _, obs, _ in members])
-        buffers0 = np.array([obs.buffer_seconds for _, _, obs, _ in members])
-        prev0 = np.array(
-            [
-                0.0 if obs.last_quality is None else qualities[obs.last_quality]
-                for _, _, obs, _ in members
-            ]
-        )
-        first = np.array([obs.last_quality is None for _, _, obs, _ in members])
-        # Per-step rows that do not depend on the lane: the chosen quality
-        # per combo and (past the first step) the smoothing penalty --
-        # hoisted once, shared by every lane tile.
-        quality_rows = [qualities[combos[:, k]] for k in range(steps)]
-        penalty_rows: list[np.ndarray | None] = [None]
-        for k in range(1, steps):
-            penalty_rows.append(
-                (weights.smooth_penalty * np.abs(quality_rows[k] - quality_rows[k - 1]))[None, :]
+    def _solve(self, members: list[tuple], actions: np.ndarray) -> None:
+        """Write the best first step of each ``(position, video, observation,
+        predicted Mbps)`` lane into ``actions``: one lattice call per
+        (video, lookahead steps) group."""
+        groups: dict[tuple[int, int], list[tuple]] = {}
+        for member in members:
+            _, video, obs, _ = member
+            steps = min(self._prototype.horizon, obs.chunks_remaining)
+            groups.setdefault((id(video), steps), []).append(member)
+        for (_, steps), group in groups.items():
+            positions, videos, observations, predicted = zip(*group)
+            actions[list(positions)] = _lookahead_actions(
+                videos[0], self._prototype.weights, steps, observations, predicted
             )
-
-        best = np.empty(m, dtype=int)
-        tile = BatchedMPC._SCAN_LANE_TILE
-        for t0 in range(0, m, tile):
-            t1 = min(t0 + tile, m)
-            buffer = np.repeat(buffers0[t0:t1, None], n, axis=1)
-            rate_t = rate[t0:t1, None]
-            chunks_t = chunks[t0:t1]
-            total = np.zeros((t1 - t0, n))
-            for k in range(steps):
-                sizes = video.chunk_sizes_bytes[(chunks_t + k)[:, None], combos[None, :, k]]
-                download = sizes / rate_t + LINK_RTT_S
-                rebuffer = np.maximum(download - buffer, 0.0)
-                buffer = np.maximum(buffer - download, 0.0) + video.chunk_seconds
-                quality = quality_rows[k]
-                total += quality[None, :] - weights.rebuffer_penalty * rebuffer
-                if k == 0:
-                    smooth = ~first[t0:t1]
-                    if smooth.any():
-                        total[smooth] -= weights.smooth_penalty * np.abs(
-                            quality[None, :] - prev0[t0:t1][smooth, None]
-                        )
-                else:
-                    total -= penalty_rows[k]
-            best[t0:t1] = np.argmax(total, axis=1)
-        for i, (pos, _, _, _) in enumerate(members):
-            actions[pos] = combos[best[i], 0]
 
     def finish(self, lane: int) -> None:
         self._clones.pop(lane, None)

@@ -10,24 +10,58 @@ At each chunk the controller:
    lookahead against the predicted throughput, simulating the buffer, and
 3. executes the first step of the best plan.
 
-The plan search is vectorized over all ``6^horizon`` combinations, so a
-full 48-chunk playback costs a few milliseconds.
+Step 2 is the exhaustive plan search of the adversary's ``r_opt``, with
+the predicted throughput held over the lookahead instead of a known
+bandwidth: :func:`_lookahead_actions` scores every plan on the prefix
+lattice of :mod:`repro.abr.protocols.optimal`, one row per lane.  Serial
+:meth:`MPC.select` is its one-lane call, and
+:class:`~repro.abr.batched.BatchedMPC` serves each (video, lookahead)
+group of lanes with one call.  Unlike ``r_opt``, the lookahead never caps
+the buffer at ``BUFFER_CAP_S`` (nor does the reference robustMPC).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 
 import numpy as np
 
 from repro.abr.protocols.base import AbrPolicy
+from repro.abr.protocols.optimal import _plan_values
 from repro.abr.protocols.rate_based import harmonic_mean_mbps
 from repro.abr.qoe import QoEWeights
-from repro.abr.simulator import LINK_RTT_S, PACKET_PAYLOAD_PORTION, AbrObservation
+from repro.abr.simulator import AbrObservation
 from repro.abr.video import Video
 
 __all__ = ["MPC"]
+
+
+def _lookahead_actions(
+    video: Video,
+    weights: QoEWeights,
+    steps: int,
+    observations: list[AbrObservation],
+    predicted_mbps: list[float],
+) -> np.ndarray:
+    """First step of each lane's best ``steps``-chunk plan on ``video``.
+
+    Lane ``i`` holds ``predicted_mbps[i]`` for the whole lookahead from
+    ``observations[i]``'s chunk, buffer and last quality.  The first-max
+    plan column in ``itertools.product`` order, divided by
+    ``n_bitrates ** (steps - 1)``, is that plan's first step, so ties
+    break towards the lowest plan as a plan-by-plan scan would.
+    """
+    predicted = np.asarray(predicted_mbps, dtype=float)
+    values = _plan_values(
+        video,
+        [obs.chunk_index for obs in observations],
+        np.repeat(predicted[:, None], steps, axis=1),
+        [obs.buffer_seconds for obs in observations],
+        [obs.last_quality for obs in observations],
+        weights,
+        cap_buffer=False,
+    )
+    return values.argmax(axis=1) // video.n_bitrates ** (steps - 1)
 
 
 class MPC(AbrPolicy):
@@ -42,18 +76,16 @@ class MPC(AbrPolicy):
         robust: bool = True,
         weights: QoEWeights = QoEWeights(),
     ) -> None:
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 1 <= horizon <= 8:
+            # The exhaustive search scores n_bitrates ** horizon plans.
+            raise ValueError(f"horizon must be in [1, 8], got {horizon}")
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.horizon = int(horizon)
         self.window = int(window)
         self.robust = robust
         self.weights = weights
         self._video: Video | None = None
-        self._combos: dict[int, np.ndarray] = {}
-        #: What the cached plan tables were built for, so a reset with a
-        #: video of a different bitrate count rebuilds them.
-        self._combos_key: tuple[int, int] | None = None
-        self._qualities: np.ndarray | None = None
         # maxlen evicts the oldest error in O(1); the list-based
         # ``pop(0)`` this replaces shifted the whole window every chunk.
         self._errors: deque[float] = deque(maxlen=self.window)
@@ -61,21 +93,8 @@ class MPC(AbrPolicy):
 
     def reset(self, video: Video) -> None:
         self._video = video
-        # The per-bitrate quality scores depend only on the video's
-        # bitrate ladder, not the playback state: computed once here
-        # instead of once per chunk in :meth:`select`.
-        self._qualities = np.array(
-            [self.weights.quality(b) for b in video.bitrates_kbps]
-        )
         self._errors = deque(maxlen=self.window)
         self._last_prediction = None
-        key = (video.n_bitrates, self.horizon)
-        if self._combos_key != key:
-            self._combos = {
-                h: np.array(list(itertools.product(range(video.n_bitrates), repeat=h)), dtype=int)
-                for h in range(1, self.horizon + 1)
-            }
-            self._combos_key = key
 
     # -- prediction -----------------------------------------------------------
 
@@ -101,32 +120,5 @@ class MPC(AbrPolicy):
         predicted = self._predict_throughput(observation)
         if predicted <= 0:
             return 0  # no information yet: start conservative
-
         steps = min(self.horizon, observation.chunks_remaining)
-        combos = self._combos[steps]
-        n = combos.shape[0]
-        rate = predicted * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION  # bytes/s
-
-        qualities = self._qualities
-        buffer = np.full(n, observation.buffer_seconds)
-        total = np.zeros(n)
-        prev_q = (
-            None
-            if observation.last_quality is None
-            else qualities[observation.last_quality]
-        )
-        prev = np.full(n, 0.0 if prev_q is None else prev_q)
-        first = observation.last_quality is None
-        for k in range(steps):
-            chunk = observation.chunk_index + k
-            sizes = video.chunk_sizes_bytes[chunk, combos[:, k]]
-            download = sizes / rate + LINK_RTT_S
-            rebuffer = np.maximum(download - buffer, 0.0)
-            buffer = np.maximum(buffer - download, 0.0) + video.chunk_seconds
-            quality = qualities[combos[:, k]]
-            total += quality - self.weights.rebuffer_penalty * rebuffer
-            if not (first and k == 0):
-                total -= self.weights.smooth_penalty * np.abs(quality - prev)
-            prev = quality
-        best = int(np.argmax(total))
-        return int(combos[best, 0])
+        return int(_lookahead_actions(video, self.weights, steps, [observation], [predicted])[0])

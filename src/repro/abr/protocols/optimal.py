@@ -32,11 +32,11 @@ __all__ = [
 ]
 
 #: Per-(ladder, weights) quality-score vectors and per-(ladder, weights,
-#: window) lattice level tables: pure functions of their key, reused across
-#: the millions of solver calls a training run makes.  Unhashable weights
-#: (exotic subclasses) skip the cache.
+#: window) lattice smoothing rows: pure functions of their key, reused
+#: across the millions of solver calls a training run makes.  Unhashable
+#: weights (exotic subclasses) skip the cache.
 _QUALITY_CACHE: dict[tuple, np.ndarray] = {}
-_LEVEL_CACHE: dict[tuple, tuple] = {}
+_SMOOTH_CACHE: dict[tuple, tuple] = {}
 
 
 def _cached(cache: dict, key: tuple, build):
@@ -57,32 +57,26 @@ def _quality_table(video: Video, weights: QoEWeights) -> np.ndarray:
     )
 
 
-def _level_tables(video: Video, weights: QoEWeights, steps: int) -> tuple:
-    """``(choice, quality, smooth)`` per lattice level: each plan prefix's
-    last choice (``itertools.product`` order), its quality score and the
-    smoothing penalty of its last switch.  Level 0's penalty is indexed by
-    the window's previous quality; its last row (no previous chunk) is 0.
+def _smooth_rows(video: Video, weights: QoEWeights, steps: int) -> tuple:
+    """The smoothing penalty of each lattice level's last switch.
+
+    Level 0's is an ``(n_bitrates + 1, n_bitrates)`` table indexed by the
+    window's previous quality, whose last row (no previous chunk) is 0.
+    Level k >= 1 has one entry per plan prefix of length k+1, in
+    ``itertools.product`` order: the (previous, next) penalty table
+    flattened and tiled over the longer prefixes.
     """
 
     def build() -> tuple:
         qualities = _quality_table(video, weights)
-        n_b, penalty = len(qualities), weights.smooth_penalty
-        levels, prev = [], None
-        for k in range(steps):
-            choice = np.tile(np.arange(n_b), n_b**k)
-            quality = qualities[choice]
-            if k == 0:
-                smooth = np.vstack(
-                    [penalty * np.abs(quality - qualities[:, None]), np.zeros(n_b)]
-                )
-            else:
-                smooth = penalty * np.abs(quality - np.repeat(prev, n_b))
-            levels.append((choice, quality, smooth))
-            prev = quality
-        return tuple(levels)
+        switch = weights.smooth_penalty * np.abs(qualities - qualities[:, None])
+        first = np.vstack([switch, np.zeros(len(qualities))])
+        return (first,) + tuple(
+            np.tile(switch.ravel(), len(qualities) ** (k - 1)) for k in range(1, steps)
+        )
 
     return _cached(
-        _LEVEL_CACHE, (video.bitrates_kbps, type(weights), weights, steps), build
+        _SMOOTH_CACHE, (video.bitrates_kbps, type(weights), weights, steps), build
     )
 
 
@@ -111,6 +105,7 @@ def _plan_values(
     start_buffers_s,
     prev_qualities,
     weights: QoEWeights,
+    cap_buffer: bool = True,
 ) -> np.ndarray:
     """QoE of every plan for ``B`` equal-length windows: ``(B, n_bitrates ** steps)``.
 
@@ -118,11 +113,13 @@ def _plan_values(
     repeat=steps)`` yields ``j``-th, so a first-max ``argmax`` picks the
     same plan as a scan in product order.  The search runs over a
     *prefix-expanding* lattice: level k holds one partial plan per
-    ``n_bitrates ** k`` choice prefix and is expanded by ``repeat`` into
-    level k+1, so shared prefixes -- identical buffer states and partial
-    sums -- are computed once instead of ``n_bitrates ** (steps - k)``
-    times.  Each plan's value is still the left-to-right per-chunk sum of
-    its QoE terms, exactly as a plan-by-plan enumeration computes it.
+    length-k choice prefix and broadcasts each against all next choices
+    into level k+1, so shared prefixes -- identical buffer states and
+    partial sums -- are computed once instead of ``n_bitrates ** (steps -
+    k)`` times.  Each plan's value is still the left-to-right per-chunk
+    sum of its QoE terms, exactly as a plan-by-plan enumeration computes
+    it.  ``cap_buffer=False`` lets the simulated buffer grow past
+    ``BUFFER_CAP_S``, as MPC's lookahead does.
     """
     if bandwidths.ndim != 2:
         raise ValueError("bandwidth_windows must be (batch, window)")
@@ -142,20 +139,33 @@ def _plan_values(
         raise ValueError(f"prev_quality must be None or in [0, {n_b})")
     prev_idx[~has_prev] = n_b
 
+    qualities = _quality_table(video, weights)
+    smooth = _smooth_rows(video, weights, steps)
     buffer = start_buffers[:, None]  # (B, width), width = prefixes so far
     total = np.zeros((n_batch, 1))
-    for k, (choice, quality, smooth) in enumerate(_level_tables(video, weights, steps)):
-        # Expand every prefix with all n_b next choices; child j*n_b + c
-        # of prefix j keeps itertools.product order level by level.
-        buffer = np.repeat(buffer, n_b, axis=1)
-        total = np.repeat(total, n_b, axis=1)
-        download = downloads[:, k].take(choice, axis=1)
-        rebuffer = np.maximum(download - buffer, 0.0)
-        buffer = np.minimum(
-            np.maximum(buffer - download, 0.0) + video.chunk_seconds, BUFFER_CAP_S
-        )
-        total += quality - weights.rebuffer_penalty * rebuffer
-        total -= smooth[prev_idx] if k == 0 else smooth
+    for k in range(steps):
+        # Expand prefix j with every next choice c as a (B, width, n_b)
+        # broadcast, flattened so child j*n_b + c keeps itertools.product
+        # order.  The in-place ops reuse the level's fresh arrays instead
+        # of allocating a temporary per op (the widest level is MBs at
+        # MPC's horizon); each element still sees the plan-by-plan op
+        # chain, as + and * commute exactly.
+        download = downloads[:, k, None, :]
+        before = buffer[:, :, None]
+        gain = download - before
+        np.maximum(gain, 0.0, out=gain)  # rebuffer
+        if k < steps - 1:  # nothing reads the last level's buffer
+            after = before - download
+            np.maximum(after, 0.0, out=after)
+            after += video.chunk_seconds
+            if cap_buffer:
+                np.minimum(after, BUFFER_CAP_S, out=after)
+            buffer = after.reshape(n_batch, -1)
+        gain *= weights.rebuffer_penalty
+        np.subtract(qualities, gain, out=gain)
+        gain += total[:, :, None]
+        total = gain.reshape(n_batch, -1)
+        total -= smooth[0][prev_idx] if k == 0 else smooth[k]
     return total
 
 

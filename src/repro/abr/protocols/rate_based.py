@@ -20,6 +20,10 @@ def harmonic_mean_mbps(history: list[tuple[float, float]], window: int = 5) -> f
     ``history`` holds ``(size_bytes, download_seconds)`` pairs.  Returns 0
     when no samples exist.
     """
+    if window < 1:
+        # A window of 0 would slice the whole history, and -1 all but the
+        # oldest sample.
+        raise ValueError(f"window must be >= 1, got {window}")
     samples = [
         size * 8.0 / dl / 1e6 for size, dl in history[-window:] if dl > 0 and size > 0
     ]
@@ -36,6 +40,8 @@ class RateBased(AbrPolicy):
     def __init__(self, safety: float = 1.0, window: int = 5) -> None:
         if safety <= 0:
             raise ValueError("safety factor must be positive")
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         self.safety = float(safety)
         self.window = int(window)
         self._video: Video | None = None

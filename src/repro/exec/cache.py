@@ -57,10 +57,11 @@ def _feed(h, obj: Any, seen: set[int]) -> None:
     """Feed a canonical byte encoding of ``obj`` into hash ``h``.
 
     Objects hash by class identity plus *public* attribute state (private
-    caches like MPC's combo tables or a layer's stashed activations must
-    not affect the key), with two exceptions: ``np.random.Generator``
-    attributes are always included -- a policy's exploration stream is
-    part of its identity -- and a ``__cache_state__()`` method overrides
+    state like MPC's prediction-error window or a layer's stashed
+    activations must not affect the key), with two exceptions:
+    ``np.random.Generator`` attributes are always included -- a policy's
+    exploration stream is part of its identity -- and a
+    ``__cache_state__()`` method overrides
     the default entirely (e.g. :class:`~repro.nn.network.MLP` exposes its
     weights, :class:`~repro.traces.trace.Trace` drops its display name).
     """

@@ -5,7 +5,7 @@ video.  Requests flow through the :class:`~repro.serve.coalescer.Coalescer`;
 each window is processed synchronously on the event loop: sessions are
 created/validated/advanced, the window is grouped by protocol, and every
 group is served with **one** batched adapter call -- a single flat-NN
-forward for Pensieve, one vectorized combo scan per lookahead group for
+forward for Pensieve, one plan-lattice call per lookahead group for
 MPC, one broadcast rule sweep for BB/BOLA.  This reuses the PR 6 batched
 adapters unchanged (they only read the session surface that
 :class:`~repro.serve.state.RemoteSession` mirrors), so the serial/batched
@@ -22,10 +22,10 @@ Serving modes (``batch_size``):
   by the batched adapters.
 
 With a :class:`~repro.exec.cache.ResultCache`, MPC's exhaustive plan
-scan -- a pure function of (video, QoE weights, lookahead, chunk index,
+search -- a pure function of (video, QoE weights, lookahead, chunk index,
 predicted rate, buffer, previous quality) -- is memoized content-
 addressed, so repeat decision states (players on the same trace corpus
-hit identical states constantly) skip the ``6^h`` sweep entirely.  The
+hit identical states constantly) skip the search entirely.  The
 stateful throughput predictor still runs per request, which is what
 keeps cached and uncached decision sequences bitwise identical.
 """
@@ -82,28 +82,16 @@ class InlineAdapter(GenericBatched):
     would call it.  Per-playback-stateless policies (BB, BOLA,
     deterministic Pensieve -- the service serves one video, so their
     post-``reset`` state is shared too) use one shared clone instead of
-    a deep copy per session; MPC keeps per-session predictor state but
-    shares the ``6^h`` combo tables across lanes, mirroring
-    :class:`~repro.abr.batched.BatchedMPC`.
+    a deep copy per session.
     """
 
     def __init__(self, prototype: AbrPolicy) -> None:
         super().__init__(prototype)
         self._shared: AbrPolicy | None = None
-        self._mpc_combos: dict[tuple[int, int], dict[int, np.ndarray]] = {}
 
     def start(self, lane, session, rng) -> None:
         proto = self._prototype
-        if isinstance(proto, MPC):
-            clone = MPC(horizon=proto.horizon, window=proto.window,
-                        robust=proto.robust, weights=proto.weights)
-            key = (session.video.n_bitrates, proto.horizon)
-            if key in self._mpc_combos:
-                clone._combos = self._mpc_combos[key]
-                clone._combos_key = key
-            clone.reset(session.video)
-            self._mpc_combos[key] = clone._combos
-        elif isinstance(proto, (BufferBased, Bola)) or (
+        if isinstance(proto, (BufferBased, Bola)) or (
             isinstance(proto, PensieveAgent) and proto.deterministic
         ):
             if self._shared is None:
@@ -117,12 +105,12 @@ class InlineAdapter(GenericBatched):
 
 
 class CachedBatchedMPC(BatchedMPC):
-    """:class:`BatchedMPC` with the pure plan scan memoized.
+    """:class:`BatchedMPC` with the pure plan search memoized.
 
     The stateful half of MPC -- the robust throughput predictor, which
     mutates the per-session error window -- always runs, so cached and
     uncached decision *sequences* stay bitwise identical.  The stateless
-    half -- the exhaustive lookahead scan -- is a pure function of its
+    half -- the exhaustive lookahead search -- is a pure function of its
     content-addressed key and its winning first step is served from the
     :class:`ResultCache` on repeat states.
     """
@@ -149,10 +137,10 @@ class CachedBatchedMPC(BatchedMPC):
 
     def select(self, lanes, sessions):
         actions = np.zeros(len(lanes), dtype=int)
-        groups: dict[tuple[int, int], list[tuple]] = {}
+        members: list[tuple] = []
         # key -> window positions sharing that decision state.  Players on
         # the same trace sit in identical states, so a 64-wide window often
-        # holds only a handful of distinct plan problems -- scan each once
+        # holds only a handful of distinct plan problems -- solve each once
         # and fan the winning first step out to every sharer.
         pending: dict[str, list[int]] = {}
         for pos, (lane, session) in enumerate(zip(lanes, sessions)):
@@ -183,11 +171,8 @@ class CachedBatchedMPC(BatchedMPC):
                 actions[pos] = value
                 continue
             pending[key] = [pos]
-            groups.setdefault((id(session.video), steps), []).append(
-                (pos, clone, obs, rate)
-            )
-        for (_, steps), members in groups.items():
-            self._scan_group(steps, members, actions)
+            members.append((pos, session.video, obs, predicted))
+        self._solve(members, actions)
         for key, positions in pending.items():
             action = int(actions[positions[0]])
             self._memo[key] = action

@@ -1,10 +1,24 @@
 """Tests for the rule-based ABR protocols (BB, rate-based, MPC)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.abr.batched import BatchedMPC
 from repro.abr.protocols import MPC, BufferBased, RateBased, run_session
-from repro.abr.simulator import AbrObservation, ControlledBandwidth, StreamingSession
+from repro.abr.protocols.rate_based import harmonic_mean_mbps
+from repro.abr.qoe import QoEWeights
+from repro.abr.simulator import (
+    BUFFER_CAP_S,
+    LINK_RTT_S,
+    PACKET_PAYLOAD_PORTION,
+    AbrObservation,
+    ControlledBandwidth,
+    StreamingSession,
+)
 from repro.abr.video import Video
 from repro.traces.trace import Trace
 
@@ -86,6 +100,15 @@ class TestRateBased:
         with pytest.raises(ValueError):
             RateBased(safety=0.0)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_invalid_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            RateBased(window=window)
+        # A window of 0 would average the whole history, -1 all but the
+        # oldest sample.
+        with pytest.raises(ValueError, match="window"):
+            harmonic_mean_mbps([(1e6, 1.0), (2e6, 1.0)], window)
+
 
 class TestMPC:
     def test_first_decision_is_conservative(self, video):
@@ -130,8 +153,17 @@ class TestMPC:
             MPC().select(make_obs(video, 5.0))
 
     def test_invalid_horizon(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon"):
             MPC(horizon=0)
+        # 6^9 plans per decision: rejected up front, not at the first
+        # decision with the r_opt solver's message.
+        with pytest.raises(ValueError, match="horizon"):
+            MPC(horizon=9)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_invalid_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            MPC(window=window)
 
     def test_horizon_truncated_at_video_end(self, video):
         mpc = MPC(horizon=5)
@@ -158,41 +190,156 @@ class TestProtocolOrdering:
             assert len(result.qualities) == video.n_chunks
 
 
-class TestMpcComboCache:
-    """Regression: the 6^h plan tables must be keyed on (n_bitrates, horizon).
+def reference_mpc_choice(video, weights, obs, horizon, window=5, buffer_cap_s=None):
+    """The retired flat plan scan: the oracle for MPC's lookahead.
 
-    The old check compared ``n_bitrates`` against ``combos.shape[1]`` (the
-    horizon length), so the tables were needlessly rebuilt on most resets
-    and -- worse -- stale tables survived a switch to a video with a
-    different bitrate count, indexing out of that video's bitrate range.
+    Scores every ``n_bitrates ** steps`` plan, listed in
+    ``itertools.product`` order, chunk by chunk against the throughput a
+    fresh MPC predicts from ``obs`` (the harmonic mean, undiscounted), and
+    returns the first step of the first-max plan.  MPC's lookahead never
+    caps the buffer; ``buffer_cap_s`` adds the simulator's cap to show
+    states where that matters.
     """
+    predicted = harmonic_mean_mbps(obs.throughput_history, window)
+    if predicted <= 0:
+        return 0
+    steps = min(horizon, obs.chunks_remaining)
+    combos = np.array(
+        list(itertools.product(range(video.n_bitrates), repeat=steps)), dtype=int
+    )
+    n = combos.shape[0]
+    rate = predicted * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
+    qualities = np.array([weights.quality(b) for b in video.bitrates_kbps])
+    buffer = np.full(n, obs.buffer_seconds)
+    total = np.zeros(n)
+    prev = None if obs.last_quality is None else np.full(n, qualities[obs.last_quality])
+    for k in range(steps):
+        sizes = video.chunk_sizes_bytes[obs.chunk_index + k, combos[:, k]]
+        download = sizes / rate + LINK_RTT_S
+        rebuffer = np.maximum(download - buffer, 0.0)
+        buffer = np.maximum(buffer - download, 0.0) + video.chunk_seconds
+        if buffer_cap_s is not None:
+            buffer = np.minimum(buffer, buffer_cap_s)
+        quality = qualities[combos[:, k]]
+        total += quality - weights.rebuffer_penalty * rebuffer
+        if prev is not None:
+            total -= weights.smooth_penalty * np.abs(quality - prev)
+        prev = quality
+    return int(combos[int(np.argmax(total)), 0])
 
-    def test_cache_reused_across_resets_with_same_video(self, video):
+
+class _StubSession:
+    """The session surface BatchedMPC reads: a video and one observation."""
+
+    def __init__(self, video, obs):
+        self.video = video
+        self._obs = obs
+
+    def observation(self):
+        return self._obs
+
+
+def batched_mpc_choices(policy, states):
+    """One BatchedMPC round over ``(video, observation)`` lanes."""
+    adapter = BatchedMPC(policy)
+    sessions = [_StubSession(video, obs) for video, obs in states]
+    for lane, session in enumerate(sessions):
+        adapter.start(lane, session, np.random.default_rng(lane))
+    return [int(a) for a in adapter.select(list(range(len(states))), sessions)]
+
+
+#: Short videos, so random chunk positions often truncate the lookahead
+#: at the video tail; a 6- and a 3-bitrate ladder, mixed within batches.
+ORACLE_VIDEOS = (
+    Video.synthetic(n_chunks=10, seed=1),
+    Video.synthetic(n_chunks=10, seed=2, bitrates_kbps=(300, 1200, 4300)),
+)
+ORACLE_WEIGHTS = (
+    QoEWeights(),
+    QoEWeights(rebuffer_penalty=7.0, smooth_penalty=2.5, metric="log"),
+)
+
+
+@st.composite
+def mpc_states(draw):
+    video = draw(st.sampled_from(ORACLE_VIDEOS))
+    chunk = draw(st.integers(0, video.n_chunks - 1))
+    buffer = draw(st.floats(0.0, 60.0))
+    predicted = draw(st.floats(0.05, 8.0))
+    last = draw(st.sampled_from([None, *range(video.n_bitrates)]))
+    history = [(predicted * 1e6 / 8.0, 1.0)]
+    obs = make_obs(video, buffer, history=history, last_quality=last, chunk_index=chunk)
+    return video, obs
+
+
+class TestMpcOracle:
+    """Serial and batched MPC pick the flat scan's choice, bit for bit."""
+
+    @given(
+        horizon=st.integers(1, 5),
+        weights=st.sampled_from(ORACLE_WEIGHTS),
+        state=mpc_states(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_serial_matches_reference(self, horizon, weights, state):
+        video, obs = state
+        mpc = MPC(horizon=horizon, weights=weights)
+        mpc.reset(video)
+        assert mpc.select(obs) == reference_mpc_choice(video, weights, obs, horizon)
+
+    @given(
+        width=st.sampled_from([1, 7, 32]),
+        horizon=st.integers(1, 5),
+        weights=st.sampled_from(ORACLE_WEIGHTS),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batched_matches_reference(self, width, horizon, weights, data):
+        states = data.draw(st.lists(mpc_states(), min_size=width, max_size=width))
+        choices = batched_mpc_choices(MPC(horizon=horizon, weights=weights), states)
+        assert choices == [
+            reference_mpc_choice(video, weights, obs, horizon) for video, obs in states
+        ]
+
+    @pytest.mark.parametrize(
+        "video, chunk, predicted, buffer, last",
+        [
+            (Video.synthetic(n_chunks=20, seed=0), 0, 0.5, 59.0, 0),
+            (Video.synthetic(n_chunks=20, seed=0), 5, 0.65, 58.5, 0),
+            (ORACLE_VIDEOS[1], 1, 0.55, 58.0, 0),
+        ],
+        ids=["6-bitrate-start", "6-bitrate-mid", "3-bitrate"],
+    )
+    def test_lookahead_buffer_is_uncapped(self, video, chunk, predicted, buffer, last):
+        """A lookahead that capped the buffer at BUFFER_CAP_S picks another
+        action in these near-full-buffer, low-throughput states."""
+        obs = make_obs(video, buffer, history=[(predicted * 1e6 / 8.0, 1.0)],
+                       last_quality=last, chunk_index=chunk)
+        weights = QoEWeights()
+        expected = reference_mpc_choice(video, weights, obs, 5)
+        assert expected != reference_mpc_choice(
+            video, weights, obs, 5, buffer_cap_s=BUFFER_CAP_S
+        )
         mpc = MPC()
         mpc.reset(video)
-        tables = mpc._combos
-        mpc.reset(video)
-        assert mpc._combos is tables, "plan tables rebuilt on a plain reset"
+        assert mpc.select(obs) == expected
+        assert batched_mpc_choices(MPC(), [(video, obs)] * 3) == [expected] * 3
 
-    def test_cache_rebuilt_when_bitrate_count_changes(self, video):
-        mpc = MPC(horizon=3)
-        mpc.reset(video)
-        assert mpc._combos[3].shape == (video.n_bitrates ** 3, 3)
 
-        narrow = Video.synthetic(
-            n_chunks=20, seed=1, bitrates_kbps=(300, 750, 1200)
-        )
-        mpc.reset(narrow)
-        assert mpc._combos[3].shape == (3 ** 3, 3)
-        assert int(mpc._combos[3].max()) == narrow.n_bitrates - 1
+class TestMpcLadderSwitch:
+    """Regression: a reset onto a video with another bitrate count must
+    not reuse the previous ladder's plan state (stale 6-bitrate plans
+    indexed past a 3-bitrate ladder)."""
 
-        # Decisions on the narrow video must stay within its bitrate range
-        # even mid-session (stale 6-bitrate tables would index past it).
+    def test_choices_follow_the_ladder(self, video):
+        narrow = Video.synthetic(n_chunks=20, seed=1, bitrates_kbps=(300, 750, 1200))
+        mpc = MPC(horizon=3, robust=False)
         history = [(5.0e6 / 8.0, 1.0)] * 5
-        obs = make_obs(narrow, 15.0, history=history, last_quality=2,
-                       chunk_index=5)
-        assert 0 <= mpc.select(obs) < narrow.n_bitrates
-
-        # And switching back rebuilds the wide tables again.
-        mpc.reset(video)
-        assert mpc._combos[3].shape == (video.n_bitrates ** 3, 3)
+        for current in (video, narrow, video):
+            mpc.reset(current)
+            for chunk in (5, 12, current.n_chunks - 2, current.n_chunks - 1):
+                obs = make_obs(current, 15.0, history=history, last_quality=2,
+                               chunk_index=chunk)
+                choice = mpc.select(obs)
+                assert 0 <= choice < current.n_bitrates
+                assert choice == reference_mpc_choice(current, mpc.weights, obs, 3)
