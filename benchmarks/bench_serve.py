@@ -34,18 +34,25 @@ Run standalone (no pytest needed):
 
 from __future__ import annotations
 
-import argparse
-import asyncio
-import json
 import os
-import statistics
-import tempfile
-from pathlib import Path
 
-from repro.abr.protocols.mpc import MPC
-from repro.abr.video import Video
-from repro.exec import ResultCache
-from repro.serve import (
+# One compute thread: pin the BLAS pools before numpy loads, so the
+# batch=1 and coalesced rows compare on the same footing on any host.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import asyncio  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from repro.abr.protocols.mpc import MPC  # noqa: E402
+from repro.abr.video import Video  # noqa: E402
+from repro.exec import ResultCache  # noqa: E402
+from repro.serve import (  # noqa: E402
     CONTENT_BINARY,
     DecisionService,
     HttpServer,
@@ -54,7 +61,7 @@ from repro.serve import (
     make_demo_pensieve,
     run_loadgen,
 )
-from repro.traces.random_traces import random_abr_traces
+from repro.traces.random_traces import random_abr_traces  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 

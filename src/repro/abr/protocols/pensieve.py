@@ -55,10 +55,7 @@ class PensieveAgent(AbrPolicy):
         features = build_features(observation, self._video)
         if self.obs_rms is not None:
             features = self.obs_rms.normalize(features)
-        action, _logp, _value = self.policy.act(
-            features, self._rng, deterministic=self.deterministic
-        )
-        return int(action)
+        return self.policy.act(features, self._rng, deterministic=self.deterministic)
 
     @classmethod
     def from_trainer(cls, trainer: PPO, deterministic: bool = True) -> "PensieveAgent":

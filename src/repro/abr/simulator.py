@@ -22,6 +22,7 @@ Bandwidth comes from a :class:`BandwidthSchedule`.  Two implementations:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -60,32 +61,45 @@ class TraceBandwidth(BandwidthSchedule):
     """Integrates downloads across a piecewise-constant trace.
 
     Traces shorter than the playback loop (Pensieve's behaviour) unless
-    ``loop=False``.
+    ``loop=False``.  The segment starts, ends and bandwidths are copied
+    into Python lists once per schedule (one schedule serves one
+    session), so each segment a download crosses costs one
+    ``bisect_right`` and a few float ops, with no numpy call.
     """
 
     def __init__(self, trace: Trace, loop: bool = True) -> None:
         self.trace = trace
         self.loop = loop
+        self._t0 = float(trace.timestamps[0])
+        self._duration = trace.duration
+        self._starts = trace._starts.tolist()
+        self._ends = self._starts[1:] + [float(self._duration)]
+        self._bandwidths = trace.bandwidths_mbps.tolist()
 
     def download_time(self, size_bytes: float, t_start: float) -> float:
         if size_bytes < 0:
             raise ValueError("size must be non-negative")
+        starts, ends, bandwidths = self._starts, self._ends, self._bandwidths
+        t0, duration, loop = self._t0, self._duration, self.loop
         remaining = float(size_bytes)
         t = float(t_start)
         elapsed = 0.0
         # Hard cap to avoid infinite loops on pathological all-zero traces.
         max_elapsed = 3600.0
         while remaining > 0:
-            if not self.loop and t - self.trace.timestamps[0] >= self.trace.duration:
+            offset = t - t0
+            if not loop and offset >= duration:
                 # Past the end of a non-looping trace: last rate persists.
-                bw = float(self.trace.bandwidths_mbps[-1])
+                bw = bandwidths[-1]
                 seg_end = float("inf")
             else:
-                seg = self.trace._segment_at(t, self.loop)
-                bw = float(self.trace.bandwidths_mbps[seg])
-                offset = (t - self.trace.timestamps[0]) % self.trace.duration
-                seg_end = self.trace.segment_end(seg)
-                seg_end = t + (seg_end - offset)
+                if loop:
+                    offset %= duration
+                elif offset < 0:
+                    raise ValueError(f"time {t} outside trace duration {duration}")
+                seg = bisect_right(starts, offset) - 1
+                bw = bandwidths[seg]
+                seg_end = t + (ends[seg] - offset)
             rate = bw * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION  # bytes/s
             span = seg_end - t
             if rate <= 1e-9:

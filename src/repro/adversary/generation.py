@@ -273,8 +273,7 @@ class _FrozenPredictor:
             obs = self.obs_rms.normalize(obs)
         else:
             obs = np.asarray(obs, dtype=float)
-        action, _logp, _value = self.policy.act(obs, rng, deterministic=deterministic)
-        return action
+        return self.policy.act(obs, rng, deterministic=deterministic)
 
 
 def _abr_rollout_task(task) -> AbrRollout:

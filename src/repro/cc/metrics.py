@@ -72,7 +72,8 @@ def run_sender_on_trace(
     """Replay a (bandwidth, latency, loss) trace against ``sender``.
 
     The trace must carry latency and loss schedules.  Conditions update at
-    every ``interval_s`` boundary (30 ms in the paper).  ``warmup_s``
+    every ``interval_s`` boundary (30 ms in the paper): interval ``i`` runs
+    under the trace's conditions at ``i * interval_s``.  ``warmup_s``
     intervals (run under the trace's first conditions) are excluded from
     the summary so slow-start does not dominate short traces.
     """
@@ -89,15 +90,19 @@ def run_sender_on_trace(
     for _ in range(n_warmup):
         emulator.run_interval(interval_s)
     measured_from = len(emulator.history)
-    t = 0.0
-    while t < trace.duration - 1e-9:
+    # Multiply, not accumulate: a running sum of interval_s drifts below the
+    # segment starts of a trace recorded on the interval grid, and those
+    # intervals would replay the previous sample.
+    i = 0
+    while i * interval_s < trace.duration - 1e-9:
+        t = i * interval_s
         emulator.set_conditions(
             trace.bandwidth_at(t, loop=False),
             trace.latency_at(t, loop=False),
             trace.loss_at(t, loop=False),
         )
         emulator.run_interval(interval_s)
-        t += interval_s
+        i += 1
     return summarize_intervals(emulator.history[measured_from:], sender)
 
 

@@ -144,20 +144,20 @@ class ActorCritic:
 
     def act(
         self, obs: np.ndarray, rng: np.random.Generator, deterministic: bool = False
-    ) -> tuple[np.ndarray, float, float]:
+    ) -> int | np.ndarray:
         """Select an action for a single observation.
 
-        Returns ``(action, log_prob, value)``.  For discrete spaces the
-        action is a Python int; for boxes it is a 1-D array (unclipped).
+        Returns the action only: a Python int for discrete spaces, a 1-D
+        array (unclipped) for boxes.  This is the policy forward plus the
+        head's ``mode()`` or ``sample(rng)``; callers that need the
+        log-probability or the value estimate use :meth:`act_batch`.
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
         dist = self.distribution(obs)
         action = dist.mode() if deterministic else dist.sample(rng)
-        log_prob = float(dist.log_prob(action)[0])
-        value = float(self.value(obs)[0])
         if self.discrete:
-            return int(action[0]), log_prob, value
-        return action[0], log_prob, value
+            return int(action[0])
+        return action[0]
 
     def act_batch(
         self, obs: np.ndarray, rng: np.random.Generator, deterministic: bool = False
@@ -166,10 +166,9 @@ class ActorCritic:
 
         Returns ``(actions, log_probs, values)`` with leading dimension
         ``n``; actions are ``(n,)`` ints for discrete spaces and ``(n, d)``
-        unclipped floats for boxes.  On a single-row batch this performs
-        exactly the same forward pass and random draws as :meth:`act`, so
-        a vectorized rollout of one env is bitwise identical to the
-        scalar loop.
+        unclipped floats for boxes.  On a single-row batch the actions come
+        from exactly the same policy forward pass and random draws as
+        :meth:`act`.
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
         dist = self.distribution(obs)

@@ -610,11 +610,10 @@ class PPO:
         trace generation) make each rollout reproducible from its own
         seed regardless of how much the shared generator was consumed.
         """
-        action, _logp, _value = self.policy.act(
+        return self.policy.act(
             self._normalize(obs), rng if rng is not None else self.rng,
             deterministic=deterministic,
         )
-        return action
 
     @staticmethod
     def checkpoint_path(path: str | Path) -> Path:

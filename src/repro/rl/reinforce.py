@@ -62,7 +62,7 @@ class Reinforce:
         observations, actions, rewards = [], [], []
         for _ in range(self.cfg.max_episode_steps):
             norm = self._normalize(obs)
-            action, _logp, _value = self.policy.act(norm, self.rng)
+            action = self.policy.act(norm, self.rng)
             next_obs, reward, done, _ = self.env.step(action)
             observations.append(norm)
             actions.append(action)
@@ -131,7 +131,4 @@ class Reinforce:
         }
 
     def predict(self, obs: np.ndarray, deterministic: bool = True):
-        action, _logp, _value = self.policy.act(
-            self._normalize(obs), self.rng, deterministic=deterministic
-        )
-        return action
+        return self.policy.act(self._normalize(obs), self.rng, deterministic=deterministic)

@@ -128,9 +128,7 @@ class LearnedRouting(RoutingPolicy):
         return np.array([demands.get(p, 0.0) for p in self._pairs]) / self.total_mbps
 
     def weights(self, graph, demands):
-        action, _logp, _value = self.policy.act(
-            self._features(demands), self._rng, deterministic=True
-        )
+        action = self.policy.act(self._features(demands), self._rng, deterministic=True)
         raw = np.asarray(action, dtype=float)
         soft = np.log1p(np.exp(np.clip(raw, -20.0, 20.0))) + _MIN_WEIGHT
         return dict(zip(self._edges, soft))

@@ -10,7 +10,8 @@ only vary bandwidth, congestion-control traces vary all three.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,25 @@ import numpy as np
 __all__ = ["Trace"]
 
 
+def _samples(label: str, values) -> np.ndarray:
+    """``values`` as a finite 1-D float array, or a ``ValueError`` naming it."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"{label} must be a 1-D array")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{label} must be finite")
+    return values
+
+
 @dataclass
 class Trace:
-    """A piecewise-constant network-condition schedule."""
+    """A piecewise-constant network-condition schedule.
+
+    Construction rejects malformed samples with a ``ValueError`` that names
+    them: arrays that are not 1-D or not finite, unordered timestamps,
+    negative bandwidths or latencies, loss rates outside [0, 1], and a
+    duration that is not finite or ends before the last timestamp.
+    """
 
     timestamps: np.ndarray
     bandwidths_mbps: np.ndarray
@@ -30,35 +47,42 @@ class Trace:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.bandwidths_mbps = np.asarray(self.bandwidths_mbps, dtype=float)
-        if self.timestamps.ndim != 1 or len(self.timestamps) == 0:
-            raise ValueError("timestamps must be a non-empty 1-D array")
+        self.timestamps = _samples("timestamps", self.timestamps)
+        self.bandwidths_mbps = _samples("bandwidths", self.bandwidths_mbps)
+        if len(self.timestamps) == 0:
+            raise ValueError("timestamps must be non-empty")
         if len(self.timestamps) != len(self.bandwidths_mbps):
             raise ValueError("timestamps and bandwidths must have equal length")
         if np.any(np.diff(self.timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         if np.any(self.bandwidths_mbps < 0):
             raise ValueError("bandwidths must be non-negative")
-        for attr in ("latencies_ms", "loss_rates"):
+        for attr, label in (("latencies_ms", "latencies"), ("loss_rates", "loss rates")):
             val = getattr(self, attr)
             if val is not None:
-                val = np.asarray(val, dtype=float)
+                val = _samples(label, val)
                 if len(val) != len(self.timestamps):
                     raise ValueError(f"{attr} length must match timestamps")
                 setattr(self, attr, val)
+        if self.latencies_ms is not None and np.any(self.latencies_ms < 0):
+            raise ValueError("latencies must be non-negative")
         if self.loss_rates is not None and (
             np.any(self.loss_rates < 0) or np.any(self.loss_rates > 1)
         ):
             raise ValueError("loss rates must be in [0, 1]")
+        # Segment starts relative to the first timestamp, built once: every
+        # lookup searches this array.
+        self._starts = self.timestamps - self.timestamps[0]
         if self.duration is None:
             # Assume the last segment lasts as long as the median step.
             if len(self.timestamps) > 1:
                 step = float(np.median(np.diff(self.timestamps)))
             else:
                 step = 1.0
-            self.duration = float(self.timestamps[-1] + step - self.timestamps[0])
-        if self.duration <= self.timestamps[-1] - self.timestamps[0]:
+            self.duration = float(self.timestamps[-1]) + step - float(self.timestamps[0])
+        if not math.isfinite(self.duration):
+            raise ValueError("duration must be finite")
+        if self.duration <= self._starts[-1]:
             raise ValueError("duration must extend past the last timestamp")
 
     # -- construction helpers -------------------------------------------------
@@ -111,7 +135,7 @@ class Trace:
             rel = rel % self.duration
         elif rel < 0 or rel >= self.duration:
             raise ValueError(f"time {t} outside trace duration {self.duration}")
-        return int(np.searchsorted(self.timestamps - self.timestamps[0], rel, side="right") - 1)
+        return int(np.searchsorted(self._starts, rel, side="right") - 1)
 
     def bandwidth_at(self, t: float, loop: bool = True) -> float:
         """Bandwidth (Mbps) at absolute time ``t`` (looping by default)."""
@@ -129,8 +153,8 @@ class Trace:
 
     def segment_end(self, index: int) -> float:
         """End time (relative to trace start) of segment ``index``."""
-        if index < len(self.timestamps) - 1:
-            return float(self.timestamps[index + 1] - self.timestamps[0])
+        if index < len(self._starts) - 1:
+            return float(self._starts[index + 1])
         return float(self.duration)
 
     # -- statistics --------------------------------------------------------------
@@ -140,8 +164,7 @@ class Trace:
 
     def mean_bandwidth(self) -> float:
         """Time-weighted mean bandwidth over the trace (Mbps)."""
-        rel = self.timestamps - self.timestamps[0]
-        widths = np.diff(np.append(rel, self.duration))
+        widths = np.diff(np.append(self._starts, self.duration))
         return float(np.sum(self.bandwidths_mbps * widths) / self.duration)
 
     def smoothness(self) -> float:
@@ -160,10 +183,9 @@ class Trace:
         """Return the sub-trace covering ``[t_start, t_end)`` (no looping)."""
         if not 0.0 <= t_start < t_end <= self.duration:
             raise ValueError("invalid slice bounds")
-        rel = self.timestamps - self.timestamps[0]
-        first = int(np.searchsorted(rel, t_start, side="right") - 1)
-        last = int(np.searchsorted(rel, t_end, side="left"))
-        ts = rel[first:last].copy()
+        first = int(np.searchsorted(self._starts, t_start, side="right") - 1)
+        last = int(np.searchsorted(self._starts, t_end, side="left"))
+        ts = self._starts[first:last].copy()
         ts[0] = t_start
         pick = slice(first, last)
         return Trace(

@@ -337,10 +337,8 @@ class TestAttackDecision:
                 x, AttackConfig(eps=0.0), lo, hi,
             )
             z = agent.obs_rms.normalize(x)
-            clean, _, _ = agent.policy.act(
-                z, np.random.default_rng(0), deterministic=True
-            )
-            assert action == int(clean)
+            clean = agent.policy.act(z, np.random.default_rng(0), deterministic=True)
+            assert action == clean
             np.testing.assert_array_equal(x_adv, x)
 
     def test_untargeted_flips_some_decisions(self, video):

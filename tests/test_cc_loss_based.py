@@ -116,6 +116,18 @@ class TestMetrics:
         result = run(CubicSender(), duration=6.0)
         assert 0.0 < result.capacity_fraction <= 1.05
 
+    def test_replay_interval_i_carries_sample_i(self):
+        """A trace recorded on the 30 ms grid replays one sample per interval."""
+        steps = np.arange(200)
+        trace = Trace.from_steps(
+            5.0 + 0.01 * steps, 0.030,
+            latencies_ms=20.0 + 0.01 * steps, loss_rates=1e-5 * steps,
+        )
+        result = run_sender_on_trace(BBRSender(), trace)
+        replayed = [(s.bandwidth_mbps, s.latency_ms, s.loss_rate) for s in result.intervals]
+        recorded = list(zip(trace.bandwidths_mbps, trace.latencies_ms, trace.loss_rates))
+        assert replayed == recorded
+
     def test_warmup_excluded(self):
         trace = Trace.constant(12.0, 6.0, latency_ms=40.0, loss_rate=0.0)
         with_warmup = run_sender_on_trace(BBRSender(), trace, warmup_s=3.0)

@@ -22,14 +22,19 @@ class TestDiscretePolicy:
 
     def test_act_returns_int_action(self, rng):
         policy = ActorCritic(4, Discrete(3), rng=rng)
-        action, log_prob, value = policy.act(np.zeros(4), rng)
+        action = policy.act(np.zeros(4), rng)
         assert isinstance(action, int) and 0 <= action < 3
-        assert np.isfinite(log_prob) and np.isfinite(value)
+
+    def test_act_batch_log_probs_and_values_finite(self, rng):
+        policy = ActorCritic(4, Discrete(3), rng=rng)
+        actions, log_probs, values = policy.act_batch(np.zeros((5, 4)), rng)
+        assert actions.shape == log_probs.shape == values.shape == (5,)
+        assert np.all(np.isfinite(log_probs)) and np.all(np.isfinite(values))
 
     def test_deterministic_act_is_mode(self, rng):
         policy = ActorCritic(2, Discrete(4), rng=rng)
         obs = np.array([0.3, -0.2])
-        actions = {policy.act(obs, rng, deterministic=True)[0] for _ in range(10)}
+        actions = {policy.act(obs, rng, deterministic=True) for _ in range(10)}
         assert len(actions) == 1
 
     def test_value_shape(self, rng):
@@ -52,7 +57,7 @@ class TestContinuousPolicy:
 
     def test_act_returns_vector(self, rng):
         policy = ActorCritic(2, Box([-1.0] * 3, [1.0] * 3), rng=rng)
-        action, _lp, _v = policy.act(np.zeros(2), rng)
+        action = policy.act(np.zeros(2), rng)
         assert action.shape == (3,)
 
     def test_log_std_is_trainable_parameter(self, rng):
@@ -75,6 +80,30 @@ class TestContinuousPolicy:
         assert np.any(policy._dlog_std != 0)
         policy.zero_grad()
         assert np.all(policy._dlog_std == 0)
+
+
+class TestDecisionPath:
+    """``act`` is the one-row case of ``act_batch``: same action, same draws."""
+
+    @pytest.mark.parametrize("deterministic", [True, False], ids=["mode", "sample"])
+    @pytest.mark.parametrize(
+        "space", [Discrete(4), Box([-1.0] * 3, [1.0] * 3)], ids=["discrete", "box"]
+    )
+    def test_act_is_row_zero_of_act_batch(self, space, deterministic):
+        policy = ActorCritic(5, space, rng=np.random.default_rng(3), init_log_std=-0.3)
+        obs_rng = np.random.default_rng(4)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(4):
+            obs = obs_rng.normal(size=5)
+            action = policy.act(obs, rng_a, deterministic=deterministic)
+            actions, _log_probs, _values = policy.act_batch(
+                obs[None], rng_b, deterministic=deterministic
+            )
+            if policy.discrete:
+                assert type(action) is int and action == actions[0]
+            else:
+                assert action.tobytes() == actions[0].tobytes()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 class TestWeights:

@@ -1,5 +1,7 @@
 """Tests for the Trace data structure (repro.traces.trace)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.traces.trace import Trace
 
 bandwidth_lists = st.lists(st.floats(0.1, 50.0), min_size=1, max_size=40)
+NAN, INF = float("nan"), float("inf")
 
 
 class TestConstruction:
@@ -46,6 +49,41 @@ class TestConstruction:
     def test_schedule_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Trace.from_steps([1.0, 2.0], 1.0, latencies_ms=[10.0])
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"timestamps": [0.0, NAN]}, "timestamps must be finite"),
+            ({"timestamps": [0.0, INF]}, "timestamps must be finite"),
+            ({"bandwidths_mbps": [1.0, NAN]}, "bandwidths must be finite"),
+            ({"bandwidths_mbps": [INF, 1.0]}, "bandwidths must be finite"),
+            ({"latencies_ms": [NAN, 20.0]}, "latencies must be finite"),
+            ({"latencies_ms": [10.0, INF]}, "latencies must be finite"),
+            ({"loss_rates": [0.0, NAN]}, "loss rates must be finite"),
+            ({"duration": NAN}, "duration must be finite"),
+            ({"duration": INF}, "duration must be finite"),
+            ({"timestamps": [0.0, 1.7e308], "duration": None}, "duration must be finite"),
+            ({"latencies_ms": [10.0, -1.0]}, "latencies must be non-negative"),
+            ({"timestamps": [[0.0], [1.0]]}, "timestamps must be a 1-D array"),
+            ({"bandwidths_mbps": [[1.0], [2.0]]}, "bandwidths must be a 1-D array"),
+            ({"latencies_ms": [[10.0], [20.0]]}, "latencies must be a 1-D array"),
+            ({"loss_rates": [[0.0], [0.1]]}, "loss rates must be a 1-D array"),
+        ],
+    )
+    def test_malformed_samples_raise_named_errors(self, overrides, match, tmp_path):
+        data = {
+            "timestamps": [0.0, 1.0], "bandwidths_mbps": [1.0, 2.0],
+            "latencies_ms": [10.0, 20.0], "loss_rates": [0.0, 0.1], "duration": 2.0,
+        }
+        data.update(overrides)
+        with pytest.raises(ValueError, match=match):
+            Trace(**data)
+        with pytest.raises(ValueError, match=match):
+            Trace.from_dict(data)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(data))  # writes NaN and Infinity literally
+        with pytest.raises(ValueError, match=match):
+            Trace.load(path)
 
     def test_duration_must_extend_past_last_timestamp(self):
         with pytest.raises(ValueError):
