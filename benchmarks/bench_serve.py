@@ -5,11 +5,11 @@ each owning a real client-side ``StreamingSession`` and asking the
 service for every chunk decision -- against the serving stack in two
 modes per workload:
 
-1. *batch=1 (inline)*: every request answered by the plain serial
-   ``AbrPolicy.select`` call.  This is the honest per-request baseline,
-   the exact code path ``run_session`` uses.
+1. *batch=1 (inline)*: windows of one request, each answered by the
+   protocol's lane kernel called with one lane -- the arithmetic of
+   serial ``AbrPolicy.select``.  This is the per-request baseline.
 2. *coalesced*: concurrent requests drained in windows and served with
-   ONE batched policy evaluation per window (the PR 6 adapters), plus
+   ONE kernel call per window (the ``as_batched`` adapters), plus
    -- for MPC -- the content-addressed plan cache.
 
 Workloads: Pensieve policy heads at production size (1024x512; the

@@ -3,10 +3,13 @@
 The serial evaluation path (:func:`repro.abr.protocols.run_session`) plays
 one video at a time: observe, select, download, repeat.  This module runs
 ``K`` independent :class:`~repro.abr.simulator.StreamingSession`s
-side-by-side and serves all their bitrate decisions with **one** batched
-policy evaluation per chunk round -- a single flat-NN forward for
-Pensieve, one call of MPC's plan-lattice kernel per (video, lookahead)
-group, and one broadcast rule evaluation for BB/BOLA.  Sessions retire
+side-by-side and serves all their bitrate decisions with **one** call of
+the protocol's lane kernel per chunk round.  Each protocol module holds
+its kernel -- :func:`~repro.abr.protocols.buffer_based.bb_actions`,
+:func:`~repro.abr.protocols.bola.bola_actions`, MPC's plan-lattice
+search and :func:`~repro.abr.protocols.pensieve.pensieve_actions` -- and
+its serial ``select`` is the kernel's one-lane call; the adapters here
+only gather lane state into the kernel's arrays.  Sessions retire
 independently as they finish and free lanes are refilled from the work
 queue, so ragged batches (sessions with different chunk counts) keep all
 lanes busy.
@@ -21,11 +24,9 @@ The simulator math is untouched: every lane owns a private
 the *action sequence* is identical, and the adapters below guarantee
 that:
 
-- BB and BOLA are replayed with elementwise/broadcast numpy ops in
-  exactly the serial op order, and MPC runs the very kernel serial
-  ``MPC.select`` calls with one lane, so every comparison and argmax
-  sees bitwise-identical floats regardless of batch width -- identity
-  **by construction**.
+- The BB, BOLA and MPC kernels are elementwise, so a lane sees
+  bitwise-identical floats at any batch width -- identity **by
+  construction**.
 - Pensieve's batched ``(K, d)`` forward is *not* bitwise equal to K
   single-row forwards (BLAS GEMM results depend on the batch dimension
   in the last ulp), so its identity rests on **argmax stability**: the
@@ -34,6 +35,9 @@ that:
   every batch width the suite exercises; at ``batch_size == 1`` the
   forward is the exact serial shape and identity is again bitwise by
   construction.
+- :func:`as_batched` picks an adapter by the policy's exact class, so a
+  subclass that overrides ``select`` is never served by its parent's
+  kernel.
 
 RNG-stream layout
 -----------------
@@ -54,12 +58,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.abr.features import N_HISTORY, feature_dim
+from repro.abr.features import advance_features, build_features, feature_dim
 from repro.abr.protocols.base import AbrPolicy
-from repro.abr.protocols.bola import Bola
-from repro.abr.protocols.buffer_based import BufferBased
+from repro.abr.protocols.bola import Bola, bola_actions, bola_tables
+from repro.abr.protocols.buffer_based import BufferBased, bb_actions
 from repro.abr.protocols.mpc import MPC, _lookahead_actions
-from repro.abr.protocols.pensieve import PensieveAgent
+from repro.abr.protocols.pensieve import PensieveAgent, pensieve_actions
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import (
     BandwidthSchedule,
@@ -85,6 +89,7 @@ __all__ = [
     "as_batched",
     "resolve_batch_size",
     "run_batched_sessions",
+    "vectorized_adapter",
 ]
 
 _BATCH_ENV = "REPRO_BATCH_SIZE"
@@ -152,9 +157,9 @@ class BatchedAbrPolicy:
 
     Lanes are stable integer slots ``0..K-1``; the engine calls
     :meth:`start` when a session enters a lane, :meth:`select` once per
-    chunk round with the currently active lanes, :meth:`observe` after
-    every download (so adapters can track state incrementally), and
-    :meth:`finish` when a session retires.
+    chunk round with the currently active lanes, :meth:`observe_round`
+    after every round of downloads (so adapters can track state
+    incrementally), and :meth:`finish` when a session retires.
     """
 
     def start(self, lane: int, session: StreamingSession, rng: np.random.Generator) -> None:
@@ -166,21 +171,24 @@ class BatchedAbrPolicy:
         """Return one ladder index per active lane (aligned with ``lanes``)."""
         raise NotImplementedError
 
-    def observe(self, lane: int, session: StreamingSession, result: ChunkResult) -> None:
-        """``lane``'s session downloaded a chunk."""
-
     def observe_round(
         self,
         lanes: list[int],
         sessions: list[StreamingSession],
         results: list[ChunkResult],
     ) -> None:
-        """One whole chunk round downloaded; adapters may vectorize this."""
-        for lane, session, result in zip(lanes, sessions, results):
-            self.observe(lane, session, result)
+        """Each of ``lanes``' sessions downloaded the chunk in ``results``."""
 
     def finish(self, lane: int) -> None:
         """``lane``'s session completed; the slot may be reused."""
+
+
+def _by_video(sessions: list[StreamingSession]) -> list[list[int]]:
+    """Positions of ``sessions`` grouped by the video they play."""
+    groups: dict[int, list[int]] = {}
+    for pos, session in enumerate(sessions):
+        groups.setdefault(id(session.video), []).append(pos)
+    return list(groups.values())
 
 
 class GenericBatched(BatchedAbrPolicy):
@@ -211,80 +219,45 @@ class GenericBatched(BatchedAbrPolicy):
 
 
 class BatchedBufferBased(BatchedAbrPolicy):
-    """Vectorized BBA-0: the rule evaluated for all lanes in one sweep.
-
-    Elementwise float64 arithmetic is shape-independent, so each lane's
-    comparison/floor sees bytes identical to the serial scalar rule.
-    """
+    """BBA-0: one :func:`~repro.abr.protocols.buffer_based.bb_actions` call."""
 
     def __init__(self, policy: BufferBased) -> None:
-        self.reservoir_s = policy.reservoir_s
-        self.cushion_s = policy.cushion_s
-        self._n: dict[int, int] = {}
-
-    def start(self, lane: int, session: StreamingSession, rng: np.random.Generator) -> None:
-        self._n[lane] = session.video.n_bitrates
+        self.policy = policy
 
     def select(self, lanes, sessions):
-        buffers = np.array([s.buffer_seconds for s in sessions])
-        n = np.array([self._n[lane] for lane in lanes])
-        frac = (buffers - self.reservoir_s) / self.cushion_s
-        mid = np.floor(frac * (n - 1)).astype(int)
-        return np.where(
-            buffers < self.reservoir_s,
-            0,
-            np.where(buffers >= self.reservoir_s + self.cushion_s, n - 1, mid),
+        return bb_actions(
+            np.array([s.buffer_seconds for s in sessions]),
+            np.array([s.video.n_bitrates for s in sessions]),
+            self.policy.reservoir_s,
+            self.policy.cushion_s,
         )
-
-    def finish(self, lane: int) -> None:
-        self._n.pop(lane, None)
 
 
 class BatchedBola(BatchedAbrPolicy):
-    """Vectorized BOLA: one broadcast score matrix per video group.
-
-    Serial BOLA computes ``(v*(u+gamma_p) - Q) / s`` with a scalar buffer
-    level; broadcasting the same expression over a ``(L, n)`` grid applies
-    the identical op sequence per element, and a row-wise argmax matches
-    the serial 1-D argmax (same first-max tie break).
-    """
+    """BOLA: one :func:`~repro.abr.protocols.bola.bola_actions` call per
+    video group, over the tables built when each session starts."""
 
     def __init__(self, policy: Bola) -> None:
-        self.buffer_target_s = policy.buffer_target_s
-        self.gamma_p = policy.gamma_p
-        #: lane -> (video-identity key, chunk_seconds)
-        self._lane_video: dict[int, tuple[int, float]] = {}
-        #: video-identity key -> (v*(u+gamma_p), relative sizes)
+        self.policy = policy
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def start(self, lane: int, session: StreamingSession, rng: np.random.Generator) -> None:
-        video = session.video
-        key = id(video)
-        if key not in self._tables:
-            bitrates = np.asarray(video.bitrates_kbps, dtype=float)
-            utilities = np.log(bitrates / bitrates[0])
-            q_target = self.buffer_target_s / video.chunk_seconds
-            v = q_target / (utilities[-1] + self.gamma_p)
-            relative_sizes = bitrates / bitrates[0]
-            self._tables[key] = (v * (utilities + self.gamma_p), relative_sizes)
-        self._lane_video[lane] = (key, video.chunk_seconds)
+        self._tables[lane] = bola_tables(
+            session.video, self.policy.buffer_target_s, self.policy.gamma_p
+        )
 
     def select(self, lanes, sessions):
         actions = np.zeros(len(lanes), dtype=int)
-        groups: dict[int, list[int]] = {}
-        for pos, lane in enumerate(lanes):
-            groups.setdefault(self._lane_video[lane][0], []).append(pos)
         buffers = np.array([s.buffer_seconds for s in sessions])
-        for key, positions in groups.items():
-            vu, relative_sizes = self._tables[key]
-            chunk_seconds = self._lane_video[lanes[positions[0]]][1]
-            buffer_chunks = buffers[positions] / chunk_seconds
-            scores = (vu[None, :] - buffer_chunks[:, None]) / relative_sizes[None, :]
-            actions[positions] = np.argmax(scores, axis=1)
+        for positions in _by_video(sessions):
+            chunk_seconds = sessions[positions[0]].video.chunk_seconds
+            actions[positions] = bola_actions(
+                *self._tables[lanes[positions[0]]], buffers[positions] / chunk_seconds
+            )
         return actions
 
     def finish(self, lane: int) -> None:
-        self._lane_video.pop(lane, None)
+        self._tables.pop(lane, None)
 
 
 class BatchedMPC(BatchedAbrPolicy):
@@ -342,53 +315,30 @@ class BatchedMPC(BatchedAbrPolicy):
 
 
 class BatchedPensieve(BatchedAbrPolicy):
-    """Pensieve served by one batched policy-net forward per chunk round.
+    """Pensieve: one :func:`~repro.abr.protocols.pensieve.pensieve_actions`
+    call per chunk round.
 
-    The engine's per-download :meth:`observe` hook keeps a ``(K, d)``
-    feature matrix incrementally up to date (each slot written with the
-    exact :func:`~repro.abr.features.build_features` formula, then
-    shifted byte-for-byte), so a round costs one normalize + one MLP
-    forward + one argmax for all lanes -- no per-lane observation
-    dataclasses, no value-net or log-prob work (serial ``act`` discards
-    both).
-
-    See the module docstring for the (documented, test-pinned) argmax
-    -stability caveat on batched GEMM.  Stochastic selection draws each
-    lane's Gumbel noise from that lane's private RNG stream with the same
-    ``(1, n)`` shape the serial agent uses, so the consumed stream is
-    batch-composition independent.
+    Each lane's feature row starts as ``build_features`` of its first
+    observation and is brought forward by
+    :func:`~repro.abr.features.advance_features` after every download, so
+    a round builds no observation objects.  Stochastic selection draws
+    from each lane's private RNG stream, so the consumed stream does not
+    depend on batch composition.  See the module docstring for the
+    argmax-stability caveat on the batched forward.
     """
 
-    _T0 = 2  # throughput history slots start
-    _D0 = 2 + N_HISTORY  # delay history slots start
-    _S0 = 2 + 2 * N_HISTORY  # next-chunk-size slots start
-
-    def __init__(
-        self,
-        policy,
-        obs_rms=None,
-        deterministic: bool = True,
-    ) -> None:
-        self.policy = policy
-        self.obs_rms = obs_rms
-        self.deterministic = deterministic
+    def __init__(self, agent: PensieveAgent) -> None:
+        self.agent = agent
         self._features: np.ndarray | None = None
-        #: lane -> (video, max bitrate, rng stream, ladder as an int array)
-        self._lane_info: dict[
-            int, tuple[Video, float, np.random.Generator, np.ndarray]
-        ] = {}
-
-    @classmethod
-    def from_agent(cls, agent: PensieveAgent) -> "BatchedPensieve":
-        return cls(agent.policy, obs_rms=agent.obs_rms, deterministic=agent.deterministic)
+        self._rngs: dict[int, np.random.Generator] = {}
 
     def start(self, lane: int, session: StreamingSession, rng: np.random.Generator) -> None:
         video = session.video
         d = feature_dim(video.n_bitrates)
-        if d != self.policy.obs_dim:
+        if d != self.agent.policy.obs_dim:
             raise ValueError(
                 f"video has {video.n_bitrates} bitrates -> feature dim {d}, "
-                f"but the policy expects obs_dim {self.policy.obs_dim}"
+                f"but the policy expects obs_dim {self.agent.policy.obs_dim}"
             )
         if self._features is None:
             self._features = np.zeros((lane + 1, d))
@@ -396,178 +346,76 @@ class BatchedPensieve(BatchedAbrPolicy):
             grown = np.zeros((lane + 1, d))
             grown[: self._features.shape[0]] = self._features
             self._features = grown
-        row = self._features[lane]
-        row[:] = 0.0
-        row[self._S0 : self._S0 + video.n_bitrates] = video.chunk_sizes_bytes[0] / 1e6
-        row[self._S0 + video.n_bitrates] = video.n_chunks / max(video.n_chunks, 1)
-        self._lane_info[lane] = (
-            video,
-            float(video.bitrates_kbps[-1]),
-            rng,
-            np.asarray(video.bitrates_kbps),
-        )
-
-    def observe(self, lane: int, session: StreamingSession, result: ChunkResult) -> None:
-        video, max_bitrate = self._lane_info[lane][:2]
-        row = self._features[lane]
-        n = video.n_bitrates
-        size, dl = result.size_bytes, result.download_seconds
-        row[0] = video.bitrates_kbps[result.quality] / max_bitrate
-        row[1] = session.buffer_seconds / 10.0
-        # History slots are newest-first: shift, then write slot 0 with
-        # the exact build_features formulas.
-        t0, d0, s0 = self._T0, self._D0, self._S0
-        row[t0 + 1 : t0 + N_HISTORY] = row[t0 : t0 + N_HISTORY - 1]
-        row[d0 + 1 : d0 + N_HISTORY] = row[d0 : d0 + N_HISTORY - 1]
-        if dl > 0:
-            row[t0] = (size * 8.0 / dl / 1e6) / 10.0
-            row[d0] = dl / 10.0
-        else:
-            row[t0] = 0.0
-            row[d0] = 0.0
-        if session.done:
-            row[s0 : s0 + n] = 0.0
-        else:
-            row[s0 : s0 + n] = video.chunk_sizes_bytes[session.chunk_index] / 1e6
-        row[s0 + n] = (video.n_chunks - session.chunk_index) / max(video.n_chunks, 1)
+        self._features[lane] = build_features(session.observation(), video)
+        self._rngs[lane] = rng
 
     def observe_round(self, lanes, sessions, results):
-        """Vectorized :meth:`observe`: one fancy-indexed update per round.
-
-        Elementwise float64 ops in the same order as the scalar formulas
-        are bitwise-identical per element, so this is pure bookkeeping
-        speed -- the per-lane Python observe dominates the batched
-        engine's cost otherwise.  ``download_chunk`` delays always
-        include ``LINK_RTT_S``, so the serial ``dl > 0`` guard cannot
-        fire here and the divisions are safe.
-        """
-        m = len(lanes)
-        if m == 1:
-            self.observe(lanes[0], sessions[0], results[0])
-            return
-        info = self._lane_info
-        video, max_bitrate, _, ladder = info[lanes[0]]
-        for lane in lanes[1:]:
-            if info[lane][0] is not video:
-                self._observe_round_mixed(lanes, sessions, results)
-                return
-        # Fast path: every lane plays the same video (the corpus-sweep
-        # case).  An observe rewrites every feature slot, so the round
-        # builds one fresh (m, d) block and scatters it with a single
-        # advanced-index assignment -- two gathers (the history shifts,
-        # which read the pre-round rows) and one scatter total.
-        n = video.n_bitrates
-        n_chunks = video.n_chunks
-        quality = np.asarray([result.quality for result in results])
-        indices = np.asarray([session.chunk_index for session in sessions])
-        live = indices < n_chunks
-        # The fancy gather copies, so zeroing retired rows is safe.
-        next_sizes = video.chunk_sizes_bytes[np.where(live, indices, 0)]
-        if not live.all():
-            next_sizes[~live] = 0.0
-        features = self._features
         rows = np.asarray(lanes)
-        t0, d0, s0 = self._T0, self._D0, self._S0
-        block = np.empty((m, features.shape[1]))
-        block[:, t0 + 1 : t0 + N_HISTORY] = features[rows, t0 : t0 + N_HISTORY - 1]
-        block[:, d0 + 1 : d0 + N_HISTORY] = features[rows, d0 : d0 + N_HISTORY - 1]
-        block[:, 0] = ladder[quality] / max_bitrate
-        block[:, 1] = np.asarray([s.buffer_seconds for s in sessions]) / 10.0
-        delays = np.asarray([result.download_seconds for result in results])
-        sizes = np.asarray([result.size_bytes for result in results])
-        block[:, t0] = (sizes * 8.0 / delays / 1e6) / 10.0
-        block[:, d0] = delays / 10.0
-        block[:, s0 : s0 + n] = next_sizes / 1e6
-        block[:, s0 + n] = (n_chunks - indices) / max(n_chunks, 1)
-        features[rows] = block
-
-    def _observe_round_mixed(self, lanes, sessions, results):
-        """Vectorized update for lanes playing different videos."""
-        m = len(lanes)
-        info = self._lane_info
-        n = sessions[0].video.n_bitrates  # uniform: start() pins obs_dim
-        bitrates = []
-        max_bitrates = []
-        buffers = []
-        sizes = []
-        delays = []
-        remaining = []
-        totals = []
-        next_sizes = np.zeros((m, n))
-        for i, (lane, session, result) in enumerate(zip(lanes, sessions, results)):
-            video, max_bitrate = info[lane][:2]
-            chunk_index = session.chunk_index
-            bitrates.append(video.bitrates_kbps[result.quality])
-            max_bitrates.append(max_bitrate)
-            buffers.append(session.buffer_seconds)
-            sizes.append(result.size_bytes)
-            delays.append(result.download_seconds)
-            if chunk_index < video.n_chunks:
-                next_sizes[i] = video.chunk_sizes_bytes[chunk_index]
-            remaining.append(video.n_chunks - chunk_index)
-            totals.append(max(video.n_chunks, 1))
-        features = self._features
-        rows = np.asarray(lanes)
-        t0, d0, s0 = self._T0, self._D0, self._S0
-        features[rows, t0 + 1 : t0 + N_HISTORY] = features[rows, t0 : t0 + N_HISTORY - 1]
-        features[rows, d0 + 1 : d0 + N_HISTORY] = features[rows, d0 : d0 + N_HISTORY - 1]
-        features[rows, 0] = np.asarray(bitrates) / np.asarray(max_bitrates)
-        features[rows, 1] = np.asarray(buffers) / 10.0
-        delays_arr = np.asarray(delays)
-        features[rows, t0] = (np.asarray(sizes) * 8.0 / delays_arr / 1e6) / 10.0
-        features[rows, d0] = delays_arr / 10.0
-        features[rows, s0 : s0 + n] = next_sizes / 1e6
-        features[rows, s0 + n] = np.asarray(remaining) / np.asarray(totals)
+        qualities = np.array([r.quality for r in results])
+        buffers = np.array([s.buffer_seconds for s in sessions])
+        sizes = np.array([r.size_bytes for r in results])
+        delays = np.array([r.download_seconds for r in results])
+        indices = np.array([s.chunk_index for s in sessions])
+        groups = _by_video(sessions)
+        for positions in groups:
+            # One video (the corpus-sweep case) advances every lane at once.
+            at = slice(None) if len(groups) == 1 else np.asarray(positions)
+            advance_features(
+                self._features, rows[at], sessions[positions[0]].video,
+                qualities[at], buffers[at], sizes[at], delays[at], indices[at],
+            )
 
     def select(self, lanes, sessions):
-        features = self._features[lanes]
-        if self.obs_rms is not None:
-            features = self.obs_rms.normalize(features)
-        logits = self.policy.policy_net.forward(features)
-        if self.deterministic:
-            return np.argmax(logits, axis=-1)
-        actions = np.empty(len(lanes), dtype=int)
-        for i, lane in enumerate(lanes):
-            rng = self._lane_info[lane][2]
-            row = logits[i : i + 1]
-            gumbel = -np.log(-np.log(rng.uniform(size=row.shape) + 1e-12) + 1e-12)
-            actions[i] = np.argmax(row + gumbel, axis=-1)[0]
-        return actions
+        agent = self.agent
+        rngs = None if agent.deterministic else [self._rngs[lane] for lane in lanes]
+        return pensieve_actions(agent.policy.policy_net, agent.obs_rms, self._features[lanes], rngs)
 
     def finish(self, lane: int) -> None:
-        self._lane_info.pop(lane, None)
+        self._rngs.pop(lane, None)
 
 
-def as_batched(policy: AbrPolicy | BatchedAbrPolicy) -> BatchedAbrPolicy:
-    """Wrap a serial :class:`AbrPolicy` with its batched adapter.
+#: The vectorized adapter of each protocol class, by exact class.
+_ADAPTERS: dict[type, type[BatchedAbrPolicy]] = {
+    BufferBased: BatchedBufferBased,
+    Bola: BatchedBola,
+    MPC: BatchedMPC,
+    PensieveAgent: BatchedPensieve,
+}
 
-    Known policies get a vectorized adapter; anything else falls back to
-    :class:`GenericBatched` (correct for every policy, no speedup).
-    Policies outside this module can register their own adapter by
-    defining ``__batched_adapter__() -> BatchedAbrPolicy`` (e.g.
-    ``repro.attacks.AttackedPensieve`` -- the hook avoids importing
-    higher-level packages from here).
+
+def vectorized_adapter(policy: AbrPolicy) -> BatchedAbrPolicy | None:
+    """The adapter that serves ``policy`` with its lane kernel, or ``None``.
+
+    Dispatch is on the exact class: a subclass may override ``select``,
+    and its parent's kernel would then serve a rule the subclass does not
+    have.  A class outside this module registers its own adapter by
+    defining ``__batched_adapter__() -> BatchedAbrPolicy`` (for example
+    ``repro.attacks.AttackedPensieve``; the hook avoids importing
+    higher-level packages from here).  Subclasses do not inherit the hook.
     """
-    if isinstance(policy, BatchedAbrPolicy):
-        return policy
-    adapter_factory = getattr(policy, "__batched_adapter__", None)
-    if adapter_factory is not None:
-        adapter = adapter_factory()
+    hook = vars(type(policy)).get("__batched_adapter__")
+    if hook is not None:
+        adapter = hook(policy)
         if not isinstance(adapter, BatchedAbrPolicy):
             raise TypeError(
                 f"{type(policy).__name__}.__batched_adapter__ returned "
                 f"{type(adapter).__name__}, expected a BatchedAbrPolicy"
             )
         return adapter
-    if isinstance(policy, BufferBased):
-        return BatchedBufferBased(policy)
-    if isinstance(policy, Bola):
-        return BatchedBola(policy)
-    if isinstance(policy, MPC):
-        return BatchedMPC(policy)
-    if isinstance(policy, PensieveAgent):
-        return BatchedPensieve.from_agent(policy)
-    return GenericBatched(policy)
+    factory = _ADAPTERS.get(type(policy))
+    return None if factory is None else factory(policy)
+
+
+def as_batched(policy: AbrPolicy | BatchedAbrPolicy) -> BatchedAbrPolicy:
+    """Wrap a serial :class:`AbrPolicy` with its batched adapter.
+
+    :func:`vectorized_adapter` picks the adapter; anything it does not
+    serve falls back to :class:`GenericBatched` (correct for every
+    policy, no speedup).
+    """
+    if isinstance(policy, BatchedAbrPolicy):
+        return policy
+    return vectorized_adapter(policy) or GenericBatched(policy)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ buffer level in chunks, ``s_q`` the relative chunk size, and ``V`` chosen
 so that the highest quality is selected exactly when the buffer reaches
 ``buffer_target``.  Useful as a further adversary target: like BB it is
 driven purely by the buffer, but with a smooth, utility-shaped map.
+
+:func:`bola_actions` decides for a batch of lanes; serial
+:meth:`Bola.select` is its one-lane call.
 """
 
 from __future__ import annotations
@@ -20,7 +23,42 @@ from repro.abr.protocols.base import AbrPolicy
 from repro.abr.simulator import AbrObservation
 from repro.abr.video import Video
 
-__all__ = ["Bola"]
+__all__ = ["Bola", "bola_actions", "bola_scores", "bola_tables"]
+
+
+def bola_tables(
+    video: Video, buffer_target_s: float, gamma_p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``V * (u + gamma_p)`` and the relative chunk sizes over ``video``'s ladder.
+
+    ``V`` is chosen so the top quality wins exactly at the buffer target:
+    ``V * (u_max + gamma_p) - Q_target = 0``.
+    """
+    bitrates = np.asarray(video.bitrates_kbps, dtype=float)
+    utilities = np.log(bitrates / bitrates[0])
+    q_target = buffer_target_s / video.chunk_seconds
+    v = q_target / (utilities[-1] + gamma_p)
+    return v * (utilities + gamma_p), bitrates / bitrates[0]
+
+
+def bola_scores(
+    vu: np.ndarray, relative_sizes: np.ndarray, buffer_chunks: np.ndarray
+) -> np.ndarray:
+    """The BOLA objective of every quality, one row per lane.
+
+    ``vu`` and ``relative_sizes`` are ``(K, n)`` (or one ``(n,)`` row
+    shared by every lane) from :func:`bola_tables`; ``buffer_chunks`` is
+    each lane's buffer level in chunks, ``(K,)``.  Elementwise, so a row
+    holds the same bytes at any batch width.
+    """
+    return (vu - buffer_chunks[:, None]) / relative_sizes
+
+
+def bola_actions(
+    vu: np.ndarray, relative_sizes: np.ndarray, buffer_chunks: np.ndarray
+) -> np.ndarray:
+    """The first-max ladder index of each lane's :func:`bola_scores` row."""
+    return np.argmax(bola_scores(vu, relative_sizes, buffer_chunks), axis=1)
 
 
 class Bola(AbrPolicy):
@@ -36,29 +74,22 @@ class Bola(AbrPolicy):
         self.buffer_target_s = float(buffer_target_s)
         self.gamma_p = float(gamma_p)
         self._video: Video | None = None
-        self._utilities: np.ndarray | None = None
-        self._v: float = 0.0
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def reset(self, video: Video) -> None:
         self._video = video
-        bitrates = np.asarray(video.bitrates_kbps, dtype=float)
-        self._utilities = np.log(bitrates / bitrates[0])
-        # Choose V so the top quality wins exactly at the buffer target:
-        # V * (u_max + gamma_p) - Q_target = 0.
-        q_target = self.buffer_target_s / video.chunk_seconds
-        self._v = q_target / (self._utilities[-1] + self.gamma_p)
+        self._tables = bola_tables(video, self.buffer_target_s, self.gamma_p)
+
+    def _lane(self, observation: AbrObservation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This playback as one lane: its tables and buffer level in chunks."""
+        if self._video is None or self._tables is None:
+            raise RuntimeError("policy not reset with a video")
+        buffer_chunks = np.array([observation.buffer_seconds / self._video.chunk_seconds])
+        return (*self._tables, buffer_chunks)
 
     def scores(self, observation: AbrObservation) -> np.ndarray:
         """The per-quality BOLA objective values."""
-        video = self._video
-        if video is None or self._utilities is None:
-            raise RuntimeError("policy not reset with a video")
-        buffer_chunks = observation.buffer_seconds / video.chunk_seconds
-        relative_sizes = np.asarray(video.bitrates_kbps, dtype=float)
-        relative_sizes = relative_sizes / relative_sizes[0]
-        return (
-            self._v * (self._utilities + self.gamma_p) - buffer_chunks
-        ) / relative_sizes
+        return bola_scores(*self._lane(observation))[0]
 
     def select(self, observation: AbrObservation) -> int:
-        return int(np.argmax(self.scores(observation)))
+        return int(bola_actions(*self._lane(observation))[0])

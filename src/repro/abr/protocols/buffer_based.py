@@ -5,6 +5,9 @@ reservoir + cushion the highest, and map the buffer linearly onto the
 ladder in between.  The paper's adversary discovers exactly this switching
 band and parks the buffer inside it (Figure 3), forcing constant bitrate
 oscillation.
+
+:func:`bb_actions` is the rule for a batch of lanes; serial
+:meth:`BufferBased.select` is its one-lane call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,24 @@ from repro.abr.protocols.base import AbrPolicy
 from repro.abr.simulator import AbrObservation
 from repro.abr.video import Video
 
-__all__ = ["BufferBased"]
+__all__ = ["BufferBased", "bb_actions"]
+
+
+def bb_actions(
+    buffers_s: np.ndarray, n_bitrates: np.ndarray, reservoir_s: float, cushion_s: float
+) -> np.ndarray:
+    """BBA-0's ladder index for each lane's buffer level.
+
+    Elementwise float64 arithmetic, so every lane sees the same bytes at
+    any batch width.
+    """
+    frac = (buffers_s - reservoir_s) / cushion_s
+    mid = np.floor(frac * (n_bitrates - 1)).astype(int)
+    return np.where(
+        buffers_s < reservoir_s,
+        0,
+        np.where(buffers_s >= reservoir_s + cushion_s, n_bitrates - 1, mid),
+    )
 
 
 class BufferBased(AbrPolicy):
@@ -41,10 +61,7 @@ class BufferBased(AbrPolicy):
     def select(self, observation: AbrObservation) -> int:
         if self._n_bitrates == 0:
             raise RuntimeError("policy not reset with a video")
-        buffer = observation.buffer_seconds
-        if buffer < self.reservoir_s:
-            return 0
-        if buffer >= self.reservoir_s + self.cushion_s:
-            return self._n_bitrates - 1
-        frac = (buffer - self.reservoir_s) / self.cushion_s
-        return int(np.floor(frac * (self._n_bitrates - 1)))
+        return int(bb_actions(
+            np.array([observation.buffer_seconds]), np.array([self._n_bitrates]),
+            self.reservoir_s, self.cushion_s,
+        )[0])

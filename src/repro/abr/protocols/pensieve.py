@@ -6,11 +6,15 @@ equivalent policy-gradient ABR agent from scratch in our simulator (the
 attack surface -- a learned throughput-history -> bitrate mapping -- is
 the same).  Training uses our PPO; the section-2.3 pipeline resumes
 training with adversarial traces through :func:`continue_training`.
+
+:func:`pensieve_actions` decides for a batch of feature rows; serial
+:meth:`PensieveAgent.select` is its one-row call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,12 +24,40 @@ from repro.abr.protocols.base import AbrPolicy
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import AbrObservation
 from repro.abr.video import Video
+from repro.nn.distributions import Categorical
+from repro.nn.network import MLP
 from repro.rl.policy import ActorCritic
 from repro.rl.ppo import PPO, PPOConfig
 from repro.rl.running_stat import RunningMeanStd
 from repro.traces.trace import Trace
 
-__all__ = ["PensieveAgent", "continue_training", "train_pensieve"]
+__all__ = ["PensieveAgent", "continue_training", "pensieve_actions", "train_pensieve"]
+
+
+def pensieve_actions(
+    policy_net: MLP,
+    obs_rms: RunningMeanStd | None,
+    features: np.ndarray,
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> np.ndarray:
+    """Pensieve's ladder index for each row of a ``(K, d)`` feature matrix.
+
+    Normalize, one policy forward, then the first-max argmax of each row;
+    with ``rngs`` (one generator per row), a Gumbel-max draw from each
+    row's own stream instead, in the ``(1, n)`` shape a one-row call
+    draws, so a row's draw does not depend on the batch.  A batched
+    ``(K, d)`` forward is not bitwise equal to K one-row forwards (BLAS
+    results depend on the batch dimension in the last ulp); at ``K == 1``
+    it is the serial forward.
+    """
+    if obs_rms is not None:
+        features = obs_rms.normalize(features)
+    logits = policy_net.forward(features)
+    if rngs is None:
+        return np.argmax(logits, axis=-1)
+    return np.array(
+        [Categorical(logits[i : i + 1]).sample(rng)[0] for i, rng in enumerate(rngs)]
+    )
 
 
 class PensieveAgent(AbrPolicy):
@@ -52,10 +84,9 @@ class PensieveAgent(AbrPolicy):
     def select(self, observation: AbrObservation) -> int:
         if self._video is None:
             raise RuntimeError("policy not reset with a video")
-        features = build_features(observation, self._video)
-        if self.obs_rms is not None:
-            features = self.obs_rms.normalize(features)
-        return self.policy.act(features, self._rng, deterministic=self.deterministic)
+        features = build_features(observation, self._video)[None, :]
+        rngs = None if self.deterministic else [self._rng]
+        return int(pensieve_actions(self.policy.policy_net, self.obs_rms, features, rngs)[0])
 
     @classmethod
     def from_trainer(cls, trainer: PPO, deterministic: bool = True) -> "PensieveAgent":

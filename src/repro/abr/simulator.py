@@ -98,8 +98,20 @@ class TraceBandwidth(BandwidthSchedule):
                 elif offset < 0:
                     raise ValueError(f"time {t} outside trace duration {duration}")
                 seg = bisect_right(starts, offset) - 1
-                bw = bandwidths[seg]
                 seg_end = t + (ends[seg] - offset)
+                if seg_end == t:
+                    # The rest of the segment is below t's float resolution
+                    # (a wrapped offset can land one ulp short of a segment
+                    # start).  A zero step would repeat forever, so move
+                    # into the next segment.
+                    seg += 1
+                    if seg == len(starts) and loop:
+                        seg = 0
+                    if seg < len(starts):
+                        seg_end = t + (ends[seg] - starts[seg])
+                    else:  # past the end of a non-looping trace
+                        seg, seg_end = -1, float("inf")
+                bw = bandwidths[seg]
             rate = bw * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION  # bytes/s
             span = seg_end - t
             if rate <= 1e-9:

@@ -8,12 +8,10 @@ instances -- n serial ``target.select()`` calls plus per-env Python frame
 stacking per vec-step -- this backend owns the worlds directly and runs
 one vectorized pass over all of them:
 
-- the frozen target's bitrate decisions are served by **one** batched
-  policy call per step through the PR 6 adapters
-  (:class:`~repro.abr.batched.BatchedPensieve` /
-  :class:`~repro.abr.batched.BatchedMPC` / ...), so a Pensieve target
-  costs one ``(n_envs, d)`` MLP forward instead of ``n_envs`` width-1
-  forwards;
+- the frozen target's bitrate decisions are served by **one** call of
+  its protocol's lane kernel per step through the
+  :mod:`repro.abr.batched` adapters, so a Pensieve target costs one
+  ``(n_envs, d)`` MLP forward instead of ``n_envs`` width-1 forwards;
 - observations live in a persistent ``(n_envs, history_len, d)`` frame
   ring written with a single vectorized scatter per step, so the serial
   path's per-env list-append + pad + concatenate becomes one reshape;
@@ -39,12 +37,14 @@ Rollouts are bitwise identical to the ``"sync"`` backend at every width
   (per-env seeds are drawn with the same side effects and -- exactly like
   the sync path -- discarded, because ``AbrAdversaryEnv.reset`` ignores
   them).
-- Target decisions: BB/BOLA/MPC adapters are bitwise by construction;
+- Target decisions: BB/BOLA/MPC kernels are bitwise by construction;
   deterministic Pensieve rests on the PR 6 argmax-stability contract
   (bitwise at width 1, where the batched forward degenerates to the
-  serial shape).  Stochastic or unknown targets fall back to one
-  persistent deep-copied policy per lane -- the exact arrangement the
-  sync backend's per-env target copies produce, RNG streams included.
+  serial shape).  Adapters are picked by the target's exact class.
+  Stochastic targets and classes without a vectorized adapter
+  (subclasses included) fall back to one persistent deep-copied policy
+  per lane -- the exact arrangement the sync backend's per-env target
+  copies produce, RNG streams included.
 """
 
 from __future__ import annotations
@@ -53,16 +53,8 @@ import copy
 
 import numpy as np
 
-from repro.abr.batched import (
-    BatchedAbrPolicy,
-    BatchedMPC,
-    BatchedPensieve,
-    as_batched,
-)
+from repro.abr.batched import BatchedAbrPolicy, vectorized_adapter
 from repro.abr.protocols.base import AbrPolicy
-from repro.abr.protocols.bola import Bola
-from repro.abr.protocols.buffer_based import BufferBased
-from repro.abr.protocols.mpc import MPC
 from repro.abr.protocols.optimal import (
     optimal_qoe_exhaustive_batch,
     optimal_qoe_exhaustive_mixed,
@@ -83,8 +75,8 @@ class _SerialLaneAdapter(BatchedAbrPolicy):
 
     The fallback for targets the batched adapters cannot reproduce
     bitwise -- stochastic Pensieve (whose action noise is drawn from the
-    *policy's own* RNG stream) and unknown policy classes.  Unlike
-    :class:`~repro.abr.batched.GenericBatched`, clones persist across
+    *policy's own* RNG stream) and classes without a vectorized adapter.
+    Unlike :class:`~repro.abr.batched.GenericBatched`, clones persist across
     episodes: the sync backend deep-copies the target once per env at
     construction and only ``reset(video)``s it between episodes, so any
     cross-episode state (e.g. ``PensieveAgent._rng``) must survive here
@@ -112,15 +104,14 @@ class _SerialLaneAdapter(BatchedAbrPolicy):
 def adapter_for_target(target: AbrPolicy) -> BatchedAbrPolicy:
     """Pick the batched adapter that reproduces ``target`` bitwise.
 
-    Deterministic targets get the PR 6 vectorized adapters; stochastic
-    Pensieve and unknown classes get :class:`_SerialLaneAdapter` (correct
-    for any policy, no batching benefit).
+    :func:`~repro.abr.batched.vectorized_adapter`'s exact-class rule picks
+    the adapter, as for the session engine.  Stochastic Pensieve and the
+    classes that rule does not serve get :class:`_SerialLaneAdapter`
+    (correct for any policy, no batching benefit).
     """
-    if isinstance(target, (BufferBased, Bola, MPC)):
-        return as_batched(target)
-    if isinstance(target, PensieveAgent) and target.deterministic:
-        return BatchedPensieve.from_agent(target)
-    return _SerialLaneAdapter(target)
+    if isinstance(target, PensieveAgent) and not target.deterministic:
+        return _SerialLaneAdapter(target)
+    return vectorized_adapter(target) or _SerialLaneAdapter(target)
 
 
 class BatchedAbrVecEnv(VecEnv):

@@ -13,7 +13,7 @@ The wrapper is a plain :class:`AbrPolicy`, so the whole evaluation stack
 ``repro.exec`` workers and the result cache -- works unchanged.  On the
 batched engine it registers its own adapter through the
 ``__batched_adapter__`` hook; the adapter reuses ``BatchedPensieve``'s
-incrementally-maintained feature matrix (bitwise equal per lane to
+incrementally-advanced feature matrix (bitwise equal per lane to
 ``build_features``) but routes every decision through the same
 single-row :func:`~repro.attacks.whitebox.attack_decision` helper the
 serial path uses, so serial and batched attacked runs are bitwise
@@ -114,18 +114,14 @@ class BatchedAttackedPensieve(BatchedPensieve):
     """Batched-engine adapter for :class:`AttackedPensieve`.
 
     Inherits ``BatchedPensieve``'s incremental ``(K, d)`` feature
-    bookkeeping (``start``/``observe_round``) and overrides only the
+    matrix (``start``/``observe_round``) and overrides only the
     decision: each active lane's raw feature row goes through the shared
     single-row :func:`attack_decision`, keeping serial/batched identity
     bitwise by construction (no batched GEMM on the attacked path).
     """
 
     def __init__(self, wrapper: AttackedPensieve) -> None:
-        super().__init__(
-            wrapper.agent.policy,
-            obs_rms=wrapper.agent.obs_rms,
-            deterministic=True,
-        )
+        super().__init__(wrapper.agent)
         self.wrapper = wrapper
         self._attack_rngs: dict[int, np.random.Generator | None] = {}
         self._envelopes: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.abr.features import feature_dim
+from repro.abr.protocols.pensieve import pensieve_actions
 from repro.abr.video import Video
 from repro.nn.network import MLP
 from repro.rl.running_stat import RunningMeanStd
@@ -303,11 +304,10 @@ def attack_decision(
     row, so serial and batched attacked evaluation are bitwise identical
     *by construction* (the batched adapter never takes the GEMM shortcut
     for attacked lanes).  Returns ``(action, adversarial_features)``;
-    the victim forward replays ``PensieveAgent.select``'s exact op
-    order, so at ``eps=0`` the decision matches the unattacked agent
-    bitwise.
+    the victim decides through the one-row
+    :func:`~repro.abr.protocols.pensieve.pensieve_actions` call that
+    ``PensieveAgent.select`` makes, so at ``eps=0`` the decision matches
+    the unattacked agent bitwise.
     """
     x_adv = perturb_features(surrogate_net, surrogate_rms, features, config, lo, hi, rng)
-    z = victim_rms.normalize(x_adv) if victim_rms is not None else x_adv
-    logits = victim_net.forward(np.atleast_2d(np.asarray(z, dtype=float)))
-    return int(np.argmax(logits, axis=-1)[0]), x_adv
+    return int(pensieve_actions(victim_net, victim_rms, x_adv[None, :])[0]), x_adv

@@ -4,7 +4,7 @@ Production ABR runs as a decision server the player queries once per
 chunk; this package puts that serving boundary on top of the repo's
 protocol stack.  The perf centerpiece is the micro-batching coalescer:
 concurrent in-flight requests are drained in windows and each window is
-served with **one** batched policy evaluation via the PR 6 adapters, so
+served with **one** batched policy evaluation via the lane adapters, so
 requests/sec scales with the batched engine instead of per-request
 policy-call overhead -- while every served decision stays bitwise
 identical to the inline policy call (see ``docs/architecture.md``).
@@ -42,7 +42,6 @@ from repro.serve.protocol import (
 from repro.serve.service import (
     CachedBatchedMPC,
     DecisionService,
-    InlineAdapter,
     default_protocols,
     make_demo_pensieve,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "DecisionService",
     "HttpServer",
     "HttpTransport",
-    "InlineAdapter",
     "InprocTransport",
     "LoadReport",
     "RemoteSession",

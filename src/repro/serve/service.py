@@ -4,22 +4,21 @@
 video.  Requests flow through the :class:`~repro.serve.coalescer.Coalescer`;
 each window is processed synchronously on the event loop: sessions are
 created/validated/advanced, the window is grouped by protocol, and every
-group is served with **one** batched adapter call -- a single flat-NN
+group is served with **one** call of its protocol's lane kernel through
+the :func:`~repro.abr.batched.as_batched` adapter -- a single flat-NN
 forward for Pensieve, one plan-lattice call per lookahead group for
-MPC, one broadcast rule sweep for BB/BOLA.  This reuses the PR 6 batched
-adapters unchanged (they only read the session surface that
-:class:`~repro.serve.state.RemoteSession` mirrors), so the serial/batched
-identity contract -- served decision == inline policy call -- carries
-over to the network boundary.
+MPC, one elementwise rule sweep for BB/BOLA.  The adapters only read the
+session surface that :class:`~repro.serve.state.RemoteSession` mirrors,
+so the serial/batched identity contract -- served decision == inline
+policy call -- carries over to the network boundary.
 
 Serving modes (``batch_size``):
 
-- ``1``: the *inline* baseline.  Every request is answered by the plain
-  serial ``AbrPolicy.select`` call -- the exact code path the simulator
-  and the identity tests use.  This is the reference the coalesced mode
-  is benchmarked against.
-- ``>= 2``: coalesced windows of up to ``batch_size`` requests, served
-  by the batched adapters.
+- ``1``: the *inline* baseline: windows of one request, so every
+  decision is the kernel's one-lane call, the arithmetic of serial
+  ``AbrPolicy.select``.  This is the reference the coalesced mode is
+  benchmarked against.
+- ``>= 2``: coalesced windows of up to ``batch_size`` requests.
 
 With a :class:`~repro.exec.cache.ResultCache`, MPC's exhaustive plan
 search -- a pure function of (video, QoE weights, lookahead, chunk index,
@@ -32,7 +31,6 @@ keeps cached and uncached decision sequences bitwise identical.
 
 from __future__ import annotations
 
-import copy
 import time
 
 import numpy as np
@@ -44,7 +42,7 @@ from repro.abr.protocols.buffer_based import BufferBased
 from repro.abr.protocols.mpc import MPC
 from repro.abr.protocols.pensieve import PensieveAgent
 from repro.abr.protocols.rate_based import RateBased
-from repro.abr.batched import BatchedAbrPolicy, BatchedMPC, GenericBatched, as_batched
+from repro.abr.batched import BatchedAbrPolicy, BatchedMPC, as_batched
 from repro.abr.simulator import PACKET_PAYLOAD_PORTION
 from repro.abr.video import Video
 from repro.exec.cache import ResultCache, fingerprint, make_key
@@ -68,40 +66,9 @@ from repro.serve.state import RemoteSession, SessionState, SessionStore, chunk_r
 __all__ = [
     "CachedBatchedMPC",
     "DecisionService",
-    "InlineAdapter",
     "default_protocols",
     "make_demo_pensieve",
 ]
-
-
-class InlineAdapter(GenericBatched):
-    """The ``batch_size=1`` backend: serial policy calls behind lanes.
-
-    Each request is answered by ``AbrPolicy.select`` on a per-session
-    policy exactly as :func:`~repro.abr.protocols.base.run_session`
-    would call it.  Per-playback-stateless policies (BB, BOLA,
-    deterministic Pensieve -- the service serves one video, so their
-    post-``reset`` state is shared too) use one shared clone instead of
-    a deep copy per session.
-    """
-
-    def __init__(self, prototype: AbrPolicy) -> None:
-        super().__init__(prototype)
-        self._shared: AbrPolicy | None = None
-
-    def start(self, lane, session, rng) -> None:
-        proto = self._prototype
-        if isinstance(proto, (BufferBased, Bola)) or (
-            isinstance(proto, PensieveAgent) and proto.deterministic
-        ):
-            if self._shared is None:
-                self._shared = copy.deepcopy(proto)
-            clone = self._shared
-            clone.reset(session.video)
-        else:
-            clone = copy.deepcopy(proto)
-            clone.reset(session.video)
-        self._clones[lane] = clone
 
 
 class CachedBatchedMPC(BatchedMPC):
@@ -267,13 +234,10 @@ class DecisionService:
         self.cache = cache
         self.recorder = recorder
         self.store = SessionStore(max_sessions=max_sessions)
-        inline = self.batch_size == 1
         self._groups: dict[str, _Group] = {}
         for name, proto in protocols.items():
-            if inline:
-                adapter: BatchedAbrPolicy = InlineAdapter(proto)
-            elif isinstance(proto, MPC) and cache is not None:
-                adapter = CachedBatchedMPC(proto, cache)
+            if type(proto) is MPC and cache is not None:
+                adapter: BatchedAbrPolicy = CachedBatchedMPC(proto, cache)
             else:
                 adapter = as_batched(proto)
             self._groups[name] = _Group(name, adapter)

@@ -1,5 +1,7 @@
 """Tests for the streaming simulator (repro.abr.simulator)."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,38 @@ class TestTraceBandwidth:
         trace = Trace.constant(3.0, 10.0)
         with pytest.raises(ValueError):
             TraceBandwidth(trace).download_time(-1.0, 0.0)
+
+    def test_looping_download_crosses_an_unresolvable_boundary(self):
+        # Millisecond timestamps are off the binary float grid.  On the
+        # second pass, at t = 2.212 s, (t - t0) % duration lands one ulp
+        # below the segment start 0.911, where a step would be zero.
+        trace = Trace(
+            timestamps=np.array([0.0, 0.137, 0.911]),
+            bandwidths_mbps=np.array([1.0, 2.0, 3.0]),
+            duration=1.301,
+        )
+
+        def stalled(signum, frame):
+            raise TimeoutError("download_time did not return")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(10)
+        try:
+            elapsed = TraceBandwidth(trace).download_time(2e6, 0.05)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        # The same download walked segment by segment, without clock lookups.
+        widths = [0.137, 0.774, 0.39]
+        rates = [bw * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION for bw in (1.0, 2.0, 3.0)]
+        remaining, expected, seg, span = 2e6, 0.0, 0, 0.137 - 0.05
+        while rates[seg] * span < remaining:
+            remaining -= rates[seg] * span
+            expected += span
+            seg = (seg + 1) % 3
+            span = widths[seg]
+        expected += remaining / rates[seg]
+        assert elapsed == pytest.approx(expected, rel=1e-9)
 
 
 class TestStreamingSession:

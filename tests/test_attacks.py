@@ -442,12 +442,18 @@ class TestAttackedPensieve:
             assert _session_bytes(a) == _session_bytes(b)
 
     def test_batched_adapter_hook(self):
-        from repro.abr.batched import as_batched
+        from repro.abr.batched import GenericBatched, as_batched
 
         wrapped = AttackedPensieve(make_agent(), AttackConfig())
         adapter = as_batched(wrapped)
         assert isinstance(adapter, BatchedAttackedPensieve)
         assert adapter.wrapper is wrapped
+
+        # A subclass does not inherit the hook: it may decide differently.
+        class Relabelled(AttackedPensieve):
+            pass
+
+        assert type(as_batched(Relabelled(make_agent(), AttackConfig()))) is GenericBatched
 
     def test_cache_hit_on_rerun(self, video, traces, tmp_path):
         agent = make_agent(seed=45)

@@ -79,8 +79,20 @@ def make_pensieve(deterministic: bool = True) -> PensieveAgent:
     return PensieveAgent(policy, obs_rms=obs_rms, deterministic=deterministic)
 
 
+class TopRung(BufferBased):
+    """A BB subclass with a rule of its own: always the top rung."""
+
+    def reset(self, video: Video) -> None:
+        super().reset(video)
+        self.top = video.n_bitrates - 1
+
+    def select(self, observation) -> int:
+        return self.top
+
+
 PROTOCOLS = {
     "bb": BufferBased,
+    "bb-subclass": TopRung,  # must not be served by BB's vectorized adapter
     "bola": Bola,
     "mpc": lambda: MPC(horizon=4),
     "rb": RateBased,  # exercises the GenericBatched fallback adapter

@@ -27,11 +27,12 @@ from repro.abr.video import Video
 from repro.adversary.abr_env import AbrAdversaryEnv, train_abr_adversary
 from repro.adversary.batched_env import BatchedAbrVecEnv
 from repro.adversary.cc_env import train_cc_adversary
+from repro.attacks import AttackConfig, AttackedPensieve
 from repro.cc import BBRSender
 from repro.rl.ppo import PPOConfig
 from repro.rl.vec_env import SyncVecEnv, make_vec_env
 
-from .test_batched_identity import make_pensieve
+from .test_batched_identity import TopRung, make_pensieve
 from .test_flat_identity import _checkpoint_digest
 from .toy_envs import TargetPointEnv
 
@@ -39,9 +40,14 @@ VIDEO = Video.synthetic(n_chunks=10, seed=5)
 
 TARGETS = {
     "bb": lambda: BufferBased(),
+    "bb-subclass": TopRung,
     "mpc": lambda: MPC(horizon=4),
     "bola": lambda: Bola(),
     "pensieve": lambda: make_pensieve(deterministic=True),
+    # Served through its own __batched_adapter__ hook.
+    "pensieve-attacked": lambda: AttackedPensieve(
+        make_pensieve(deterministic=True), AttackConfig(kind="fgsm", eps=0.05)
+    ),
 }
 
 

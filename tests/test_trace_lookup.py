@@ -7,11 +7,11 @@ as the oracle: the stored segment starts and the per-schedule segment
 lists must reproduce them bit for bit (compared by ``float.hex``),
 including the errors they raise.
 
-The one change to the retired loop is a stall check.  When a looping
-download sits at a segment boundary that the float grid of its wall time
-cannot resolve (``t + (end - offset) == t``), the loop makes no progress
-and never returns; the oracle raises :class:`Stall` instead and the
-property skips that download.
+The one change to the retired loop is the fix for a stall.  When a
+looping download sits at a segment boundary that the float grid of its
+wall time cannot resolve (``t + (end - offset) == t``), the retired loop
+made no progress and never returned; both loops now move into the next
+segment there.
 """
 
 import math
@@ -23,10 +23,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.abr.simulator import PACKET_PAYLOAD_PORTION, TraceBandwidth
 from repro.traces.trace import Trace
-
-
-class Stall(Exception):
-    """The retired download loop stopped advancing its wall time."""
 
 
 def reference_segment_at(trace: Trace, t: float, loop: bool) -> int:
@@ -57,12 +53,19 @@ def reference_download_time(trace: Trace, loop: bool, size_bytes: float, t_start
             seg_end = float("inf")
         else:
             seg = reference_segment_at(trace, t, loop)
-            bw = float(trace.bandwidths_mbps[seg])
             offset = (t - trace.timestamps[0]) % trace.duration
             seg_end = reference_segment_end(trace, seg)
             seg_end = t + (seg_end - offset)
-        if seg_end == t:
-            raise Stall
+            if seg_end == t:
+                seg += 1
+                if seg == len(trace) and loop:
+                    seg = 0
+                if seg < len(trace):
+                    start = trace.timestamps[seg] - trace.timestamps[0]
+                    seg_end = t + (reference_segment_end(trace, seg) - start)
+                else:
+                    seg, seg_end = -1, float("inf")
+            bw = float(trace.bandwidths_mbps[seg])
         rate = bw * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
         span = seg_end - t
         if rate <= 1e-9:
@@ -144,10 +147,7 @@ def test_lookups_match_retired_search(data, trace, loop):
             want = outcome(lambda: values[reference_segment_at(trace, t, loop)])
             assert outcome(lambda: getattr(trace, attr)(t, loop)) == want
         size = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 4e5)))
-        try:
-            want = outcome(lambda: reference_download_time(trace, loop, size, t))
-        except Stall:
-            continue
+        want = outcome(lambda: reference_download_time(trace, loop, size, t))
         assert outcome(lambda: schedule.download_time(size, t)) == want
     for index in range(len(trace)):
         assert float(trace.segment_end(index)).hex() == reference_segment_end(trace, index).hex()
