@@ -13,8 +13,9 @@ At each chunk the controller:
 Step 2 is the exhaustive plan search of the adversary's ``r_opt``, with
 the predicted throughput held over the lookahead instead of a known
 bandwidth: :func:`_lookahead_actions` scores every plan on the prefix
-lattice of :mod:`repro.abr.protocols.optimal`, one row per lane.  Serial
-:meth:`MPC.select` is its one-lane call, and
+lattice of :mod:`repro.abr.protocols.optimal`, one row per lane, and
+reads the action off the lattice's innermost axis, a plan's first step.
+Serial :meth:`MPC.select` is its one-lane call, and
 :class:`~repro.abr.batched.BatchedMPC` serves each (video, lookahead)
 group of lanes with one call.  Unlike ``r_opt``, the lookahead never caps
 the buffer at ``BUFFER_CAP_S`` (nor does the reference robustMPC).
@@ -46,10 +47,13 @@ def _lookahead_actions(
     """First step of each lane's best ``steps``-chunk plan on ``video``.
 
     Lane ``i`` holds ``predicted_mbps[i]`` for the whole lookahead from
-    ``observations[i]``'s chunk, buffer and last quality.  The first-max
-    plan column in ``itertools.product`` order, divided by
-    ``n_bitrates ** (steps - 1)``, is that plan's first step, so ties
-    break towards the lowest plan as a plan-by-plan scan would.
+    ``observations[i]``'s chunk, buffer and last quality.  The lattice
+    keeps a plan's first step innermost, so folding its later steps away
+    with contiguous maxes leaves the best value under each first step
+    (max is exact, so the fold order cannot change a value), and the
+    first-max first step is the first step of the first best plan in
+    ``itertools.product`` order: ties break towards the lowest plan as a
+    plan-by-plan scan would.
     """
     predicted = np.asarray(predicted_mbps, dtype=float)
     values = _plan_values(
@@ -61,7 +65,9 @@ def _lookahead_actions(
         weights,
         cap_buffer=False,
     )
-    return values.argmax(axis=1) // video.n_bitrates ** (steps - 1)
+    while values.shape[1] > video.n_bitrates:
+        values = values.reshape(len(values), video.n_bitrates, -1).max(axis=1)
+    return values.argmax(axis=1)
 
 
 class MPC(AbrPolicy):

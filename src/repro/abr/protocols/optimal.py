@@ -62,17 +62,19 @@ def _smooth_rows(video: Video, weights: QoEWeights, steps: int) -> tuple:
 
     Level 0's is an ``(n_bitrates + 1, n_bitrates)`` table indexed by the
     window's previous quality, whose last row (no previous chunk) is 0.
-    Level k >= 1 has one entry per plan prefix of length k+1, in
-    ``itertools.product`` order: the (previous, next) penalty table
-    flattened and tiled over the longer prefixes.
+    Level k >= 1 has one entry per column of that level of
+    :func:`_plan_values`, ``(c_k, c_{k-1}, older choices)``: the (next,
+    previous) penalty table flattened, each entry repeated over the
+    ``n_bitrates ** (k - 1)`` older prefixes.
     """
 
     def build() -> tuple:
         qualities = _quality_table(video, weights)
+        # switch[p, c]: the penalty of moving from quality p to quality c.
         switch = weights.smooth_penalty * np.abs(qualities - qualities[:, None])
         first = np.vstack([switch, np.zeros(len(qualities))])
         return (first,) + tuple(
-            np.tile(switch.ravel(), len(qualities) ** (k - 1)) for k in range(1, steps)
+            np.repeat(switch.T.ravel(), len(qualities) ** (k - 1)) for k in range(1, steps)
         )
 
     return _cached(
@@ -109,17 +111,24 @@ def _plan_values(
 ) -> np.ndarray:
     """QoE of every plan for ``B`` equal-length windows: ``(B, n_bitrates ** steps)``.
 
-    Column ``j`` is the plan ``itertools.product(range(n_bitrates),
-    repeat=steps)`` yields ``j``-th, so a first-max ``argmax`` picks the
-    same plan as a scan in product order.  The search runs over a
-    *prefix-expanding* lattice: level k holds one partial plan per
-    length-k choice prefix and broadcasts each against all next choices
-    into level k+1, so shared prefixes -- identical buffer states and
-    partial sums -- are computed once instead of ``n_bitrates ** (steps -
-    k)`` times.  Each plan's value is still the left-to-right per-chunk
-    sum of its QoE terms, exactly as a plan-by-plan enumeration computes
-    it.  ``cap_buffer=False`` lets the simulated buffer grow past
-    ``BUFFER_CAP_S``, as MPC's lookahead does.
+    The search runs over a *prefix-expanding* lattice: level k holds one
+    partial plan per choice prefix ``(c_0, ..., c_k)`` and broadcasts
+    each against all next choices into level k+1, so shared prefixes --
+    identical buffer states and partial sums -- are computed once instead
+    of ``n_bitrates ** (steps - k)`` times.  Each plan's value is still the
+    left-to-right per-chunk sum of its QoE terms, exactly as a
+    plan-by-plan enumeration computes it.  ``cap_buffer=False`` lets the
+    simulated buffer grow past ``BUFFER_CAP_S``, as MPC's lookahead does.
+
+    Level k is laid out as ``(B, c_k, c_{k-1}, ..., c_0)``: each
+    expansion puts the newest choice outermost, so every broadcast's
+    inner loop runs along the older prefixes (1,296 wide at MPC's 5-chunk
+    horizon, 216 at ``r_opt``'s 4-chunk window) instead of along the
+    ladder.  Column ``j`` of the result is therefore the plan
+    ``(c_0, ..., c_{steps-1})`` with ``j = sum(c_i * n_bitrates ** i)``:
+    its first step is ``j % n_bitrates``, and a row reshaped to
+    ``(n_bitrates,) * steps`` and transposed is in ``itertools.product``
+    order.
     """
     if bandwidths.ndim != 2:
         raise ValueError("bandwidth_windows must be (batch, window)")
@@ -139,19 +148,19 @@ def _plan_values(
         raise ValueError(f"prev_quality must be None or in [0, {n_b})")
     prev_idx[~has_prev] = n_b
 
-    qualities = _quality_table(video, weights)
+    qualities = _quality_table(video, weights)[:, None]
     smooth = _smooth_rows(video, weights, steps)
     buffer = start_buffers[:, None]  # (B, width), width = prefixes so far
     total = np.zeros((n_batch, 1))
     for k in range(steps):
-        # Expand prefix j with every next choice c as a (B, width, n_b)
-        # broadcast, flattened so child j*n_b + c keeps itertools.product
-        # order.  The in-place ops reuse the level's fresh arrays instead
-        # of allocating a temporary per op (the widest level is MBs at
-        # MPC's horizon); each element still sees the plan-by-plan op
-        # chain, as + and * commute exactly.
-        download = downloads[:, k, None, :]
-        before = buffer[:, :, None]
+        # Expand every prefix j with every next choice c as a (B, n_b,
+        # width) broadcast, flattened so child c * width + j keeps the
+        # newest choice outermost.  The in-place ops reuse the level's
+        # fresh arrays instead of allocating a temporary per op (the
+        # widest level is MBs at MPC's horizon); each element still sees
+        # the plan-by-plan op chain, as + and * commute exactly.
+        download = downloads[:, k, :, None]
+        before = buffer[:, None, :]
         gain = download - before
         np.maximum(gain, 0.0, out=gain)  # rebuffer
         if k < steps - 1:  # nothing reads the last level's buffer
@@ -163,7 +172,7 @@ def _plan_values(
             buffer = after.reshape(n_batch, -1)
         gain *= weights.rebuffer_penalty
         np.subtract(qualities, gain, out=gain)
-        gain += total[:, :, None]
+        gain += total[:, None, :]
         total = gain.reshape(n_batch, -1)
         total -= smooth[0][prev_idx] if k == 0 else smooth[k]
     return total
@@ -185,10 +194,13 @@ def optimal_qoe_exhaustive(
     bandwidths = np.asarray(bandwidths_mbps, dtype=float)
     values = _plan_values(
         video, [start_chunk], bandwidths[None, :], [start_buffer_s], [prev_quality], weights
-    )[0]
-    best = int(np.argmax(values))
-    plan = np.unravel_index(best, (video.n_bitrates,) * len(bandwidths))
-    return float(values[best]), [int(q) for q in plan]
+    )
+    # The lattice's axes run c_{steps-1}, ..., c_0: reversed, the row is in
+    # itertools.product order and a first-max argmax is the first best plan.
+    shape = (video.n_bitrates,) * len(bandwidths)
+    ordered = values.reshape(shape).transpose().ravel()
+    best = int(np.argmax(ordered))
+    return float(ordered[best]), [int(q) for q in np.unravel_index(best, shape)]
 
 
 def optimal_qoe_exhaustive_batch(

@@ -46,12 +46,20 @@ class Video:
             raise ValueError(
                 f"chunk_sizes must be (n_chunks, {len(bitrates_kbps)}), got {sizes.shape}"
             )
+        if sizes.shape[0] == 0:
+            raise ValueError("video must have at least one chunk")
+        if sizes.shape[1] == 0:
+            raise ValueError("bitrate ladder must have at least one rung")
+        if not np.isfinite(sizes).all():
+            raise ValueError("chunk sizes must be finite")
         if np.any(sizes <= 0):
             raise ValueError("chunk sizes must be positive")
         if np.any(np.diff(sizes, axis=1) < 0):
             raise ValueError("chunk sizes must be non-decreasing across the ladder")
         if list(bitrates_kbps) != sorted(bitrates_kbps):
             raise ValueError("bitrate ladder must be ascending")
+        if not (np.isfinite(chunk_seconds) and chunk_seconds > 0):
+            raise ValueError(f"chunk_seconds must be finite and positive, got {chunk_seconds}")
         self.chunk_sizes_bytes = sizes
         self.bitrates_kbps = tuple(int(b) for b in bitrates_kbps)
         self.chunk_seconds = float(chunk_seconds)

@@ -34,13 +34,18 @@ def _ou_process(
     sigma: float,
     x0: float | None = None,
 ) -> np.ndarray:
-    """A discretized Ornstein-Uhlenbeck (mean-reverting) process."""
-    x = np.empty(n)
-    x[0] = mean if x0 is None else x0
-    noise = rng.standard_normal(n)
+    """A discretized Ornstein-Uhlenbeck (mean-reverting) process.
+
+    Stepped in Python floats, which round every op as float64 array
+    elements would, at a fraction of the cost of ndarray scalar indexing.
+    """
+    noise = rng.standard_normal(n).tolist()
+    x = float(mean if x0 is None else x0)
+    path = [x]
     for t in range(1, n):
-        x[t] = x[t - 1] + theta * (mean - x[t - 1]) + sigma * noise[t]
-    return x
+        x = x + theta * (mean - x) + sigma * noise[t]
+        path.append(x)
+    return np.array(path)
 
 
 def fcc_broadband_like(
@@ -91,10 +96,17 @@ def hsdpa_3g_like(
         ]
     )
     state_gain = np.array([1.0, 0.35, 0.12])
-    states = np.empty(n, dtype=int)
-    states[0] = 0
-    for t in range(1, n):
-        states[t] = rng.choice(3, p=transition[states[t - 1]])
+    # ``rng.choice(3, p=row)`` draws one uniform u and returns the number of
+    # entries of ``row.cumsum() / row.sum()`` that are <= u; one block of
+    # uniforms walked through the three rows' cdfs draws the same chain
+    # without re-validating ``p`` per sample.
+    cdf = transition.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    bounds = cdf[:, :2].tolist()
+    states = [0]
+    for u in rng.random(n - 1).tolist():
+        low, high = bounds[states[-1]]
+        states.append(0 if u < low else 1 if u < high else 2)
     noise = _ou_process(rng, n, mean=1.0, theta=0.25, sigma=0.25)
     bw = base * state_gain[states] * np.clip(noise, 0.1, 2.5)
     bw = np.clip(bw, 0.08, 6.0)

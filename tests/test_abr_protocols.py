@@ -301,6 +301,44 @@ class TestMpcOracle:
             reference_mpc_choice(video, weights, obs, horizon) for video, obs in states
         ]
 
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    def test_exact_tie_keeps_first_plan(self, width):
+        """Rungs 1 and 2 are identical, so every plan starting on rung 2
+        ties exactly with the same plan starting on rung 1: the first step
+        of the first best plan is never 2, serially or at any lane width."""
+        base = Video.synthetic(n_chunks=8, seed=6)
+        sizes = base.chunk_sizes_bytes.copy()
+        sizes[:, 2] = sizes[:, 1]
+        video = Video(sizes, bitrates_kbps=(300, 750, 750, 1850, 2850, 4300))
+        rng = np.random.default_rng(20)
+        states = []
+        for _ in range(64):
+            chunk = int(rng.integers(0, video.n_chunks))
+            predicted = float(rng.uniform(0.6, 2.0))
+            last = [None, *range(video.n_bitrates)][int(rng.integers(0, 7))]
+            obs = make_obs(video, float(rng.uniform(0.0, 12.0)),
+                           history=[(predicted * 1e6 / 8.0, 1.0)],
+                           last_quality=last, chunk_index=chunk)
+            states.append((video, obs))
+        for horizon in (1, 3, 5):
+            for weights in ORACLE_WEIGHTS:
+                expected = [
+                    reference_mpc_choice(video, weights, obs, horizon) for _, obs in states
+                ]
+                assert 1 in expected and 2 not in expected
+                serial = []
+                for _, obs in states:
+                    mpc = MPC(horizon=horizon, weights=weights)
+                    mpc.reset(video)
+                    serial.append(mpc.select(obs))
+                assert serial == expected
+                batched = []
+                for lo in range(0, len(states), width):
+                    batched += batched_mpc_choices(
+                        MPC(horizon=horizon, weights=weights), states[lo : lo + width]
+                    )
+                assert batched == expected
+
     @pytest.mark.parametrize(
         "video, chunk, predicted, buffer, last",
         [

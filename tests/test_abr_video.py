@@ -63,3 +63,24 @@ class TestVideoValidation:
     def test_unsorted_ladder_rejected(self):
         with pytest.raises(ValueError):
             Video(np.ones((1, 2)), bitrates_kbps=(700, 300))
+
+    @pytest.mark.parametrize(
+        "sizes, bitrates, chunk_seconds, match",
+        [
+            ([[1e5, np.nan]], (300, 750), 4.0, "finite"),
+            ([[1e5, np.inf]], (300, 750), 4.0, "finite"),
+            (np.zeros((0, 2)), (300, 750), 4.0, "at least one chunk"),
+            (np.zeros((2, 0)), (), 4.0, "at least one rung"),
+            ([[1e5, 2e5]], (300, 750), 0.0, "chunk_seconds"),
+            ([[1e5, 2e5]], (300, 750), -4.0, "chunk_seconds"),
+            ([[1e5, 2e5]], (300, 750), np.nan, "chunk_seconds"),
+            ([[1e5, 2e5]], (300, 750), np.inf, "chunk_seconds"),
+        ],
+        ids=["nan-size", "inf-top-rung", "no-chunks", "empty-ladder",
+             "zero-duration", "negative-duration", "nan-duration", "inf-duration"],
+    )
+    def test_unpriceable_tables_rejected(self, sizes, bitrates, chunk_seconds, match):
+        """Tables the r_opt lattice would price as NaN or nonsense fail by name."""
+        with pytest.raises(ValueError, match=match):
+            Video(np.asarray(sizes, dtype=float), bitrates_kbps=bitrates,
+                  chunk_seconds=chunk_seconds)

@@ -1,5 +1,7 @@
 """Tests for the synthetic dataset generators (repro.traces.synthetic)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,22 @@ class TestMakeDataset:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             make_dataset("5g", 1)
+
+    @pytest.mark.parametrize(
+        "kind, seed, digest",
+        [
+            ("3g", 0, "74f679064712cc6534b4bc9659e84337b29b7db8c7e82f9f8e7f0e249b795396"),
+            ("3g", 7, "5fadb2ebd3ace55929ac4b66e0750d0e127e3cf1afdf548b9ed0b49f16ace011"),
+            ("3g", 2019, "e6b2ba43e654216c44f0b1b9cafab53e22f2db628d867b584e5d67a5855ff820"),
+            ("broadband", 0, "3ce9604e8b50e32f7ddca9f5f3ba81aed6549b790324d0a5b4c96ba1c5e66483"),
+            ("broadband", 7, "dfcdff2b7bc99025f4235c0a114f1957f788d3846ddf3b0a4a76bd0a5419a51a"),
+            ("broadband", 2019, "a5cc5ba0cf43999328bd51f18a980a18731a9e2d04d11e58279d05f73b10d790"),
+        ],
+    )
+    def test_corpus_bytes_are_pinned(self, kind, seed, digest):
+        """SHA-256 of the bandwidth bytes of four traces: the Fig. 4 corpora
+        (and every seeded run trained on them) stay bit for bit."""
+        h = hashlib.sha256()
+        for trace in make_dataset(kind, 4, seed):
+            h.update(trace.bandwidths_mbps.tobytes())
+        assert h.hexdigest() == digest
