@@ -12,6 +12,8 @@ the batched engine keep theirs in a ``(K, d)`` matrix instead, which
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from repro.abr.simulator import AbrObservation
@@ -40,34 +42,26 @@ def feature_dim(n_bitrates: int) -> int:
 
 
 def build_features(observation: AbrObservation, video: Video) -> np.ndarray:
-    """Flatten an :class:`AbrObservation` into the Pensieve feature vector."""
-    max_bitrate = float(video.bitrates_kbps[-1])
-    last_bitrate = (
-        0.0
-        if observation.last_quality is None
-        else video.bitrates_kbps[observation.last_quality] / max_bitrate
-    )
-    throughputs = np.zeros(N_HISTORY)
-    delays = np.zeros(N_HISTORY)
-    # ``StreamingSession`` keeps a bounded deque; deques don't support
-    # slicing, so materialise to a list first when needed.
-    raw_history = observation.throughput_history
-    if not isinstance(raw_history, list):
-        raw_history = list(raw_history)
-    history = raw_history[-N_HISTORY:]
-    for slot, (size, dl) in enumerate(reversed(history)):
+    """Flatten an :class:`AbrObservation` into the Pensieve feature vector.
+
+    Every slot is written into one zeroed vector; a history sample with no
+    download time leaves its two slots at zero.
+    """
+    n = video.n_bitrates
+    features = np.zeros(feature_dim(n))
+    quality = observation.last_quality
+    if quality is not None:
+        features[0] = video.bitrates_kbps[quality] / float(video.bitrates_kbps[-1])
+    features[1] = observation.buffer_seconds / _BUFFER_NORM_S
+    # Newest first; ``StreamingSession`` keeps a bounded deque, which
+    # reverses without a copy.
+    samples = islice(reversed(observation.throughput_history), N_HISTORY)
+    for slot, (size, dl) in enumerate(samples):
         if dl > 0:
-            throughputs[slot] = (size * 8.0 / dl / 1e6) / _THROUGHPUT_NORM_MBPS
-            delays[slot] = dl / _TIME_NORM_S
-    features = np.concatenate(
-        [
-            [last_bitrate, observation.buffer_seconds / _BUFFER_NORM_S],
-            throughputs,
-            delays,
-            observation.next_chunk_sizes / _SIZE_NORM_BYTES,
-            [observation.chunks_remaining / max(video.n_chunks, 1)],
-        ]
-    )
+            features[_T0 + slot] = (size * 8.0 / dl / 1e6) / _THROUGHPUT_NORM_MBPS
+            features[_D0 + slot] = dl / _TIME_NORM_S
+    np.divide(observation.next_chunk_sizes, _SIZE_NORM_BYTES, out=features[_S0 : _S0 + n])
+    features[_S0 + n] = observation.chunks_remaining / max(video.n_chunks, 1)
     return features
 
 

@@ -60,8 +60,8 @@ def _quality_table(video: Video, weights: QoEWeights) -> np.ndarray:
 def _smooth_rows(video: Video, weights: QoEWeights, steps: int) -> tuple:
     """The smoothing penalty of each lattice level's last switch.
 
-    Level 0's is an ``(n_bitrates + 1, n_bitrates)`` table indexed by the
-    window's previous quality, whose last row (no previous chunk) is 0.
+    Level 0's is an ``(n_bitrates + 1, 1, n_bitrates)`` table indexed by
+    the window's previous quality, whose last row (no previous chunk) is 0.
     Level k >= 1 has one entry per column of that level of
     :func:`_plan_values`, ``(c_k, c_{k-1}, older choices)``: the (next,
     previous) penalty table flattened, each entry repeated over the
@@ -72,7 +72,7 @@ def _smooth_rows(video: Video, weights: QoEWeights, steps: int) -> tuple:
         qualities = _quality_table(video, weights)
         # switch[p, c]: the penalty of moving from quality p to quality c.
         switch = weights.smooth_penalty * np.abs(qualities - qualities[:, None])
-        first = np.vstack([switch, np.zeros(len(qualities))])
+        first = np.vstack([switch, np.zeros(len(qualities))])[:, None, :]
         return (first,) + tuple(
             np.repeat(switch.T.ravel(), len(qualities) ** (k - 1)) for k in range(1, steps)
         )
@@ -142,16 +142,17 @@ def _plan_values(
     if not np.isfinite(start_buffers).all():
         raise ValueError("start buffers must be finite")
     n_b = video.n_bitrates
-    has_prev = np.array([q is not None for q in prev_qualities], dtype=bool)
-    prev_idx = np.array([0 if q is None else q for q in prev_qualities], dtype=np.intp)
-    if ((prev_idx < 0) | (prev_idx >= n_b)).any():
+    if any(q is not None and not 0 <= q < n_b for q in prev_qualities):
         raise ValueError(f"prev_quality must be None or in [0, {n_b})")
-    prev_idx[~has_prev] = n_b
+    # Row n_b of level 0's smoothing table is the no-previous-chunk row.
+    prev_idx = np.array([n_b if q is None else q for q in prev_qualities], dtype=np.intp)
 
     qualities = _quality_table(video, weights)[:, None]
     smooth = _smooth_rows(video, weights, steps)
-    buffer = start_buffers[:, None]  # (B, width), width = prefixes so far
-    total = np.zeros((n_batch, 1))
+    # Buffers and partial sums are carried as (B, 1, width), width =
+    # prefixes so far, ready to broadcast against a level's downloads.
+    buffer = start_buffers[:, None, None]
+    total = np.zeros((n_batch, 1, 1))
     for k in range(steps):
         # Expand every prefix j with every next choice c as a (B, n_b,
         # width) broadcast, flattened so child c * width + j keeps the
@@ -160,22 +161,21 @@ def _plan_values(
         # widest level is MBs at MPC's horizon); each element still sees
         # the plan-by-plan op chain, as + and * commute exactly.
         download = downloads[:, k, :, None]
-        before = buffer[:, None, :]
-        gain = download - before
+        gain = download - buffer
         np.maximum(gain, 0.0, out=gain)  # rebuffer
         if k < steps - 1:  # nothing reads the last level's buffer
-            after = before - download
+            after = buffer - download
             np.maximum(after, 0.0, out=after)
             after += video.chunk_seconds
             if cap_buffer:
                 np.minimum(after, BUFFER_CAP_S, out=after)
-            buffer = after.reshape(n_batch, -1)
+            buffer = after.reshape(n_batch, 1, -1)
         gain *= weights.rebuffer_penalty
         np.subtract(qualities, gain, out=gain)
-        gain += total[:, None, :]
-        total = gain.reshape(n_batch, -1)
+        gain += total
+        total = gain.reshape(n_batch, 1, -1)
         total -= smooth[0][prev_idx] if k == 0 else smooth[k]
-    return total
+    return total.reshape(n_batch, -1)
 
 
 def optimal_qoe_exhaustive(

@@ -54,7 +54,7 @@ def pensieve_actions(
         features = obs_rms.normalize(features)
     logits = policy_net.forward(features)
     if rngs is None:
-        return np.argmax(logits, axis=-1)
+        return logits.argmax(axis=-1)
     return np.array(
         [Categorical(logits[i : i + 1]).sample(rng)[0] for i, rng in enumerate(rngs)]
     )

@@ -11,6 +11,7 @@ provided as extensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,12 +27,28 @@ class QoEWeights:
     """Weights of the QoE objective.
 
     ``rebuffer_penalty`` defaults to 4.3 (the maximum bitrate in Mbps, as
-    in MPC's QoE_lin); ``smooth_penalty`` weighs bitrate switches.
+    in MPC's QoE_lin); ``smooth_penalty`` weighs bitrate switches.  Both
+    must be finite and non-negative and ``metric`` one of :attr:`METRICS`,
+    or construction raises ``ValueError``: a NaN penalty would make every
+    plan's QoE NaN and a negative one would reward stalls or switches.
     """
+
+    #: The quality scores :meth:`quality` knows.
+    METRICS = ("linear", "log", "hd")
 
     rebuffer_penalty: float = 4.3
     smooth_penalty: float = 1.0
     metric: str = "linear"
+
+    def __post_init__(self) -> None:
+        for name in ("rebuffer_penalty", "smooth_penalty"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if self.metric not in self.METRICS:
+            raise ValueError(
+                f"unknown QoE metric {self.metric!r}; choose from {self.METRICS}"
+            )
 
     def quality(self, bitrate_kbps: float) -> float:
         """Map a bitrate to its quality score ``q(R)``."""

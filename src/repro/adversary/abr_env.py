@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from repro.abr.protocols.base import AbrPolicy
-from repro.abr.protocols.optimal import optimal_qoe_exhaustive
+from repro.abr.protocols.optimal import optimal_qoe_exhaustive_batch
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import ControlledBandwidth, StreamingSession
 from repro.abr.video import Video
@@ -118,7 +118,9 @@ class AbrAdversaryEnv(Env):
         self.observation_space = Box([-1e6] * dim, [1e6] * dim)
         self._session: StreamingSession | None = None
         self._bandwidth = ControlledBandwidth()
-        self._frames: list[np.ndarray] = []
+        # The last history_len frames, oldest first, with zero rows before
+        # an episode's first frame: flattened, it is the observation.
+        self._ring = np.zeros((history_len, self._frame_dim))
         # Per-chunk records needed to evaluate r_opt windows.
         self._chosen_bw: list[float] = []
         self._buffer_before: list[float] = []
@@ -127,35 +129,40 @@ class AbrAdversaryEnv(Env):
 
     # -- featurization ----------------------------------------------------------
 
-    def _frame(self) -> np.ndarray:
-        """One observation frame from the target's point of view."""
-        assert self._session is not None
-        obs = self._session.observation()
-        max_bitrate = float(self.video.bitrates_kbps[-1])
-        last_bitrate = (
-            0.0
-            if obs.last_quality is None
-            else self.video.bitrates_kbps[obs.last_quality] / max_bitrate
-        )
-        return np.concatenate(
-            [
-                [
-                    last_bitrate,
-                    obs.buffer_seconds / 10.0,
-                    obs.chunks_remaining / max(self.video.n_chunks, 1),
-                    obs.last_throughput_mbps() / 10.0,
-                    obs.last_download_seconds / 10.0,
-                ],
-                obs.next_chunk_sizes / 1e6,
-            ]
-        )
+    def _push_frame(self) -> None:
+        """Shift the frame ring and write the newest frame into its last row.
 
-    def _stacked(self) -> np.ndarray:
-        frames = self._frames[-self.history_len :]
-        pad = self.history_len - len(frames)
-        if pad:
-            frames = [np.zeros(self._frame_dim)] * pad + frames
-        return np.concatenate(frames)
+        A frame is the target's view of the session: the last chunk's
+        bitrate, the buffer, the share of chunks left, the last chunk's
+        throughput and download time, and the next chunk's sizes.  It is
+        read off the session's fields with the formulas of
+        :class:`~repro.abr.simulator.AbrObservation`, so a step builds one
+        observation (the target's), not two.
+        """
+        session = self._session
+        assert session is not None
+        video = self.video
+        ring = self._ring
+        quality = session.prev_quality
+        last_bitrate = (
+            0.0 if quality is None
+            else video.bitrates_kbps[quality] / float(video.bitrates_kbps[-1])
+        )
+        delay = session.last_download_seconds
+        throughput_mbps = 0.0 if delay <= 0 else session.last_chunk_bytes * 8.0 / delay / 1e6
+        ring[:-1] = ring[1:]
+        frame = ring[-1]
+        frame[:5] = (
+            last_bitrate,
+            session.buffer_seconds / 10.0,
+            (video.n_chunks - session.chunk_index) / max(video.n_chunks, 1),
+            throughput_mbps / 10.0,
+            delay / 10.0,
+        )
+        if session.done:
+            frame[5:] = 0.0
+        else:
+            np.divide(video.chunk_sizes_bytes[session.chunk_index], 1e6, out=frame[5:])
 
     # -- env API -------------------------------------------------------------------
 
@@ -168,8 +175,9 @@ class AbrAdversaryEnv(Env):
         self._buffer_before = []
         self._prev_quality_before = []
         self._protocol_qoe = []
-        self._frames = [self._frame()]
-        return self._stacked()
+        self._ring.fill(0.0)
+        self._push_frame()
+        return self._ring.flatten()
 
     def action_to_bandwidth(self, action) -> float:
         """Map a raw (possibly out-of-range) policy action to Mbps."""
@@ -192,18 +200,20 @@ class AbrAdversaryEnv(Env):
         quality = self.target.select(session.observation())
         result = session.download_chunk(quality)
         self._protocol_qoe.append(result.qoe)
-        self._frames.append(self._frame())
+        self._push_frame()
 
         # Equation 1 over the last min(opt_window, chunks so far) chunks.
+        # Only the value is read, so the window is solved as a one-row
+        # batch: the same lattice, without decoding the best plan.
         start = len(self._chosen_bw) - min(self.opt_window, len(self._chosen_bw))
-        r_opt, _plan = optimal_qoe_exhaustive(
+        r_opt = float(optimal_qoe_exhaustive_batch(
             self.video,
-            start_chunk=start,
-            bandwidths_mbps=self._chosen_bw[start:],
-            start_buffer_s=self._buffer_before[start],
-            prev_quality=self._prev_quality_before[start],
+            start_chunks=[start],
+            bandwidth_windows=[self._chosen_bw[start:]],
+            start_buffers_s=[self._buffer_before[start]],
+            prev_qualities=[self._prev_quality_before[start]],
             weights=self.weights,
-        )
+        )[0])
         r_protocol = float(sum(self._protocol_qoe[start:]))
         if self.goal == "rebuffer":
             # Specific goal: cause stalls the optimum would have avoided.
@@ -219,7 +229,7 @@ class AbrAdversaryEnv(Env):
             "smoothing": smoothing,
             "rebuffer": result.rebuffer_seconds,
         }
-        return self._stacked(), reward, session.done, info
+        return self._ring.flatten(), reward, session.done, info
 
     # -- conveniences -----------------------------------------------------------------
 

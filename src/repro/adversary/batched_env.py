@@ -29,7 +29,7 @@ Rollouts are bitwise identical to the ``"sync"`` backend at every width
   downloading through the ordinary ``download_chunk`` -- the simulator
   math is untouched.
 - Every vectorized expression replays the serial op order elementwise
-  (``Box.scale_from_unit`` clip+affine, the ``_frame()`` formulas, the
+  (``Box.scale_from_unit`` clip+affine, the ``_push_frame()`` formulas, the
   left-associated Equation 1 assembly), so identical inputs give
   identical bytes per element.
 - The r_opt batch solver is bitwise equal to the scalar solver row by
@@ -182,7 +182,7 @@ class BatchedAbrVecEnv(VecEnv):
         n = n_envs
         self._sessions: list[StreamingSession | None] = [None] * n
         # Observation frame ring, oldest first; reshape(n, -1) IS the
-        # serial `_stacked()` concatenation (zero rows = the front pad).
+        # serial env's flattened ring (zero rows = the front pad).
         self._ring = np.zeros((n, self.history_len, self._frame_dim))
         # r_opt window rings, one column per chunk, newest last.  Shifted
         # left each step; zero columns in an episode's first chunks are
@@ -306,7 +306,7 @@ class BatchedAbrVecEnv(VecEnv):
             )
 
         # 6. Frame ring: shift, then write the newest frame for all lanes
-        #    with the serial `_frame()` formulas vectorized (delays always
+        #    with the serial `_push_frame()` formulas vectorized (delays always
         #    include LINK_RTT_S, so the throughput division is safe).
         ring = self._ring
         ring[:, :-1] = ring[:, 1:]

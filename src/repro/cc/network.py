@@ -137,12 +137,6 @@ class PacketNetworkEmulator:
         self._interval_drops_loss = 0
         self._interval_drops_queue = 0
         self.history: list[IntervalStats] = []
-        self._handlers = (
-            self._on_send_timer,
-            self._on_egress,
-            self._on_ack,
-            self._on_tick,
-        )
         self._schedule(0.0, _SEND, None)
 
     # -- event plumbing -------------------------------------------------------
@@ -166,8 +160,12 @@ class PacketNetworkEmulator:
         if t_end < self.now:
             raise ValueError("cannot run backwards in time")
         events = self._events
-        handlers = self._handlers
+        # Built per call, never stored: a tuple of the emulator's own bound
+        # methods on the instance would be a reference cycle, leaving every
+        # finished emulator (its history, sender and packets) to the
+        # cyclic collector.
         on_send = self._on_send_timer
+        handlers = (on_send, self._on_egress, self._on_ack, self._on_tick)
         while True:
             send_t = self._send_t
             if events:

@@ -57,7 +57,9 @@ class Categorical:
     same network builds a new distribution).  Softmax and log-softmax
     share one shifted/exponentiated pass; the shared intermediates are
     bitwise identical to computing each separately, one ``max`` and one
-    ``exp`` sweep cheaper.
+    ``exp`` sweep cheaper.  :attr:`probs` finishes the softmax on first
+    read, so a rollout step, which reads only log-probabilities, skips
+    that division.
     """
 
     def __init__(self, logits: np.ndarray) -> None:
@@ -65,26 +67,44 @@ class Categorical:
                 and logits.ndim == 2):
             logits = np.atleast_2d(np.asarray(logits, dtype=float))
         self.logits = logits
-        z = self.logits - self.logits.max(axis=-1, keepdims=True)
+        z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
         e = np.exp(z)
-        se = e.sum(axis=-1, keepdims=True)
-        e /= se
-        self.probs = e
-        np.log(se, out=se)
-        z -= se
+        se = np.add.reduce(e, axis=-1, keepdims=True)
+        z -= np.log(se)
         self._log_probs = z
+        self._exp, self._exp_sum = e, se
+        self._probs: np.ndarray | None = None
+
+    @property
+    def probs(self) -> np.ndarray:
+        if self._probs is None:
+            self._probs = self._exp
+            self._probs /= self._exp_sum
+        return self._probs
 
     @property
     def n_actions(self) -> int:
         return self.logits.shape[-1]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one action per row using the Gumbel-max trick."""
-        gumbel = -np.log(-np.log(rng.uniform(size=self.logits.shape) + 1e-12) + 1e-12)
-        return np.argmax(self.logits + gumbel, axis=-1)
+        """Draw one action per row using the Gumbel-max trick.
+
+        The noise is ``-log(-log(u + 1e-12) + 1e-12)`` for uniform ``u``,
+        built in place in one array; ``rng.random`` draws the same
+        doubles from the same stream as ``rng.uniform(0, 1)``.
+        """
+        g = rng.random(self.logits.shape)
+        g += 1e-12
+        np.log(g, out=g)
+        np.negative(g, out=g)
+        g += 1e-12
+        np.log(g, out=g)
+        np.negative(g, out=g)
+        g += self.logits
+        return g.argmax(axis=-1)
 
     def mode(self) -> np.ndarray:
-        return np.argmax(self.logits, axis=-1)
+        return self.logits.argmax(axis=-1)
 
     def log_prob(self, actions: np.ndarray) -> np.ndarray:
         actions = np.asarray(actions, dtype=int)

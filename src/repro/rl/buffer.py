@@ -3,8 +3,8 @@
 The buffer stores ``(n_steps, n_envs)`` transitions: every array is laid
 out ``(capacity, n_envs, ...)``, one row per time step holding one
 transition per env (a single env is simply a width of one).  Transitions
-arrive through :meth:`add_batch`, GAE runs one vectorized backward sweep
-over all envs, and :meth:`flattened` exposes time-major
+arrive through :meth:`add_batch`, GAE runs one backward sweep per env,
+and :meth:`flattened` exposes time-major
 ``(n_steps * n_envs, ...)`` views for the minibatch update.
 """
 
@@ -122,14 +122,26 @@ class RolloutBuffer:
         n = self.pos
         if n == 0:
             raise RuntimeError("cannot compute GAE on an empty buffer")
-        last = np.asarray(last_values, dtype=float).reshape(self.n_envs)
-        adv = np.zeros(self.n_envs)
-        for t in reversed(range(n)):
-            next_values = last if t == n - 1 else self.values[t + 1]
-            non_terminal = 1.0 - self.dones[t].astype(float)
-            delta = self.rewards[t] + gamma * next_values * non_terminal - self.values[t]
-            adv = delta + gamma * lam * non_terminal * adv
-            self.advantages[t] = adv
+        last = np.asarray(last_values, dtype=float).reshape(self.n_envs).tolist()
+        # One backward sweep per env over Python floats: per element the
+        # same IEEE double ops, in the same order, as one vectorized step
+        # per time step, without that loop's dozen small-array calls.
+        gamma_lam = gamma * lam
+        rewards = self.rewards[:n].T.tolist()
+        values = self.values[:n].T.tolist()
+        dones = self.dones[:n].T.tolist()
+        for e in range(self.n_envs):
+            rew, val, done = rewards[e], values[e], dones[e]
+            column = [0.0] * n
+            next_value, adv = last[e], 0.0
+            for t in range(n - 1, -1, -1):
+                non_terminal = 0.0 if done[t] else 1.0
+                value = val[t]
+                delta = rew[t] + gamma * next_value * non_terminal - value
+                adv = delta + gamma_lam * non_terminal * adv
+                column[t] = adv
+                next_value = value
+            self.advantages[:n, e] = column
         self.returns[:n] = self.advantages[:n] + self.values[:n]
 
     def flattened(self) -> FlatRollout:

@@ -25,17 +25,9 @@ from repro.obs.metrics import MetricsRecorder, NULL_RECORDER
 from repro.rl.buffer import RolloutBuffer
 from repro.rl.env import Env
 from repro.rl.policy import ActorCritic
-from repro.rl.running_stat import RunningMeanStd
+from repro.rl.running_stat import RunningMeanStd, _clip_ufunc
 from repro.rl.spaces import Box
 from repro.rl.vec_env import VecEnv, make_vec_env
-
-try:
-    # ndarray.clip dispatches here anyway (numpy._core._methods._clip);
-    # calling the ufunc directly is bitwise identical minus the wrapper
-    # frame.  Private path, so fall back to the method if it moves.
-    from numpy._core.umath import clip as _clip_ufunc
-except ImportError:  # pragma: no cover - older/newer numpy layouts
-    _clip_ufunc = None
 
 __all__ = ["PPO", "PPOConfig"]
 
@@ -444,10 +436,7 @@ class PPO:
                 np.subtract(logp, mb_old_logp, out=klb)
                 np.exp(klb, out=ratio)
                 np.multiply(ratio, adv, out=surr1)
-                if clip_ is not None:
-                    clip_(ratio, clip_lo, clip_hi, surr2)
-                else:  # pragma: no cover - fallback numpy layout
-                    ratio.clip(clip_lo, clip_hi, surr2)
+                clip_(ratio, clip_lo, clip_hi, surr2)
                 surr2 *= adv
                 # Gradient flows only where the unclipped branch is active
                 # (a comparison ufunc into a float out= writes exactly the

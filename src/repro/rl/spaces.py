@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.rl.running_stat import _clip_ufunc
+
 __all__ = ["Box", "Discrete", "Space"]
 
 
@@ -83,7 +85,7 @@ class Box(Space):
 
     def scale_from_unit(self, u) -> np.ndarray:
         """Map ``u`` in [-1, 1]^d affinely onto the box."""
-        u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
+        u = _clip_ufunc(np.asarray(u, dtype=float), -1.0, 1.0)
         return self.low + (u + 1.0) * 0.5 * (self.high - self.low)
 
     def to_unit(self, x) -> np.ndarray:

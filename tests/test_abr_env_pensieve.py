@@ -1,7 +1,11 @@
 """Tests for the Pensieve training env and agent (repro.abr.env / pensieve)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.abr.env import AbrTrainingEnv
 from repro.abr.features import N_HISTORY, build_features, feature_dim
@@ -63,6 +67,80 @@ class TestFeatures:
         assert throughputs[0] == pytest.approx(0.4)
         assert throughputs[1] == pytest.approx(0.4)
         assert np.all(throughputs[2:] == 0.0)
+
+
+def reference_build_features(observation, video):
+    """The retired ``build_features``, which concatenated lists: the
+    oracle for the writer that fills one preallocated vector."""
+    max_bitrate = float(video.bitrates_kbps[-1])
+    last_bitrate = (
+        0.0
+        if observation.last_quality is None
+        else video.bitrates_kbps[observation.last_quality] / max_bitrate
+    )
+    throughputs = np.zeros(N_HISTORY)
+    delays = np.zeros(N_HISTORY)
+    raw_history = observation.throughput_history
+    if not isinstance(raw_history, list):
+        raw_history = list(raw_history)
+    history = raw_history[-N_HISTORY:]
+    for slot, (size, dl) in enumerate(reversed(history)):
+        if dl > 0:
+            throughputs[slot] = (size * 8.0 / dl / 1e6) / 10.0
+            delays[slot] = dl / 10.0
+    return np.concatenate(
+        [
+            [last_bitrate, observation.buffer_seconds / 10.0],
+            throughputs,
+            delays,
+            observation.next_chunk_sizes / 1e6,
+            [observation.chunks_remaining / max(video.n_chunks, 1)],
+        ]
+    )
+
+
+_samples = st.tuples(
+    st.floats(1e3, 5e6),
+    st.one_of(st.just(0.0), st.floats(1e-3, 30.0)),
+)
+
+
+class TestBuildFeaturesReference:
+    @given(
+        video_seed=st.integers(0, 3),
+        last_quality=st.one_of(st.none(), st.integers(0, 5)),
+        buffer_s=st.floats(0.0, 60.0),
+        history=st.lists(_samples, max_size=2 * N_HISTORY),
+        as_deque=st.booleans(),
+        chunk=st.integers(0, 16),
+        last_bytes=st.floats(0.0, 5e6),
+        last_dl=st.floats(0.0, 30.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_list_concatenation_bitwise(
+        self, video_seed, last_quality, buffer_s, history, as_deque, chunk,
+        last_bytes, last_dl,
+    ):
+        video = Video.synthetic(n_chunks=16, seed=video_seed)
+        next_sizes = (
+            video.chunk_sizes_bytes[chunk].copy()
+            if chunk < video.n_chunks
+            else np.zeros(video.n_bitrates)
+        )
+        obs = AbrObservation(
+            chunk_index=chunk,
+            last_quality=last_quality,
+            buffer_seconds=buffer_s,
+            last_chunk_bytes=last_bytes,
+            last_download_seconds=last_dl,
+            next_chunk_sizes=next_sizes,
+            chunks_remaining=video.n_chunks - chunk,
+            throughput_history=deque(history, maxlen=64) if as_deque else list(history),
+        )
+        got = build_features(obs, video)
+        want = reference_build_features(obs, video)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAbrTrainingEnv:

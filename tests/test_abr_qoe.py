@@ -38,6 +38,22 @@ class TestChunkQoE:
             QoEWeights(metric="nope").quality(300.0)
 
 
+class TestQoEWeightsValidation:
+    @pytest.mark.parametrize("field", ["rebuffer_penalty", "smooth_penalty"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -3.0])
+    def test_bad_penalty_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+            QoEWeights(**{field: value})
+
+    def test_zero_penalties_allowed(self):
+        w = QoEWeights(rebuffer_penalty=0.0, smooth_penalty=0.0)
+        assert chunk_qoe(1200.0, 5.0, 300.0, w) == pytest.approx(1.2)
+
+    def test_unknown_metric_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown QoE metric 'bogus'"):
+            QoEWeights(metric="bogus")
+
+
 class TestVideoQoE:
     def test_matches_paper_formula(self):
         """QoE_lin = sum R_i - 4.3 sum T_i - sum |R_i - R_{i+1}| (section 3)."""

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.abr.protocols import BufferBased
+from repro.abr.protocols import MPC, BufferBased, RateBased
+from repro.abr.protocols.optimal import optimal_qoe_exhaustive
+from repro.abr.qoe import QoEWeights
 from repro.abr.video import Video
 from repro.adversary.abr_env import (
     ABR_BW_HIGH_MBPS,
@@ -130,6 +134,96 @@ class TestRewardStructure:
             _o, r, _d, info = e.step(np.array([-1.0]))
             rewards[name] = (r, info)
         assert rewards["heavy"][0] < rewards["light"][0]
+
+
+def reference_frame(obs, video):
+    """The retired ``_frame()``: one frame built from an observation."""
+    max_bitrate = float(video.bitrates_kbps[-1])
+    last_bitrate = (
+        0.0
+        if obs.last_quality is None
+        else video.bitrates_kbps[obs.last_quality] / max_bitrate
+    )
+    return np.concatenate(
+        [
+            [
+                last_bitrate,
+                obs.buffer_seconds / 10.0,
+                obs.chunks_remaining / max(video.n_chunks, 1),
+                obs.last_throughput_mbps() / 10.0,
+                obs.last_download_seconds / 10.0,
+            ],
+            obs.next_chunk_sizes / 1e6,
+        ]
+    )
+
+
+def reference_stacked(frames, history_len, frame_dim):
+    """The retired ``_stacked()``: the last frames, zero-padded, concatenated."""
+    frames = frames[-history_len:]
+    pad = history_len - len(frames)
+    if pad:
+        frames = [np.zeros(frame_dim)] * pad + frames
+    return np.concatenate(frames)
+
+
+class TestSerialStepReference:
+    """The serial step against the list-built observation and a full solve."""
+
+    @given(
+        target=st.sampled_from([BufferBased, RateBased, MPC]),
+        n_chunks=st.integers(1, 14),
+        video_seed=st.integers(0, 3),
+        history_len=st.sampled_from([1, 3, 10]),
+        opt_window=st.integers(1, 5),
+        goal=st.sampled_from(AbrAdversaryEnv.GOALS),
+        log_metric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_observations_and_r_opt_match_bitwise(
+        self, target, n_chunks, video_seed, history_len, opt_window, goal,
+        log_metric, seed,
+    ):
+        video = Video.synthetic(n_chunks=n_chunks, seed=video_seed)
+        weights = (
+            QoEWeights(rebuffer_penalty=7.0, smooth_penalty=2.5, metric="log")
+            if log_metric
+            else QoEWeights()
+        )
+        env = AbrAdversaryEnv(
+            target(), video, weights=weights, history_len=history_len,
+            opt_window=opt_window, goal=goal,
+        )
+        frame_dim = 5 + video.n_bitrates
+        rng = np.random.default_rng(seed)
+        returned, expected = [], []
+        for _episode in range(2):
+            returned.append(env.reset())
+            frames = [reference_frame(env._session.observation(), video)]
+            expected.append(reference_stacked(frames, history_len, frame_dim))
+            bandwidths, buffers, prev_qualities = [], [], []
+            done = False
+            while not done:
+                buffers.append(env._session.buffer_seconds)
+                prev_qualities.append(env._session.prev_quality)
+                obs, _reward, done, info = env.step(rng.uniform(-1.5, 1.5, 1))
+                bandwidths.append(info["bandwidth_mbps"])
+                frames.append(reference_frame(env._session.observation(), video))
+                returned.append(obs)
+                expected.append(reference_stacked(frames, history_len, frame_dim))
+                start = len(bandwidths) - min(opt_window, len(bandwidths))
+                r_opt, _plan = optimal_qoe_exhaustive(
+                    video, start, bandwidths[start:], buffers[start],
+                    prev_qualities[start], weights,
+                )
+                assert type(info["r_opt"]) is float
+                assert info["r_opt"].hex() == r_opt.hex()
+        # Compared only now, so an observation that aliased the env's
+        # state and changed after it was returned would show.
+        for got, want in zip(returned, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTraining:

@@ -1,11 +1,16 @@
 """Tests for the packet-level emulator (repro.cc.network)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.adversary.cc_env import CcAdversaryEnv
 from repro.cc.link import TimeVaryingLink
 from repro.cc.network import PacketNetworkEmulator
 from repro.cc.packet import MSS_BYTES, AckInfo
+from repro.cc.protocols import BBRSender
 from repro.cc.protocols.base import Sender
 
 
@@ -278,3 +283,39 @@ class TestIdleTickSuppression:
         assert sender.total_acked == 20
         assert emu._events == []
         assert_conserved(emu)
+
+
+@pytest.fixture
+def cycle_collector_off():
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("cycle_collector_off")
+class TestEmulatorLifetime:
+    """An emulator is freed by reference counting, not the cycle collector.
+
+    With the collector off, an emulator that held a reference cycle (say
+    through a stored tuple of its own bound methods) would stay alive
+    with its interval history, sender and in-flight packets.
+    """
+
+    def test_emulator_freed_when_last_reference_drops(self):
+        emu, _sender, _link = make_emulator(sender=BBRSender())
+        for _ in range(20):
+            emu.run_interval(0.03)
+        ref = weakref.ref(emu)
+        del emu, _sender, _link
+        assert ref() is None
+
+    def test_adversary_env_reset_frees_previous_emulator(self):
+        env = CcAdversaryEnv(BBRSender, episode_intervals=8, seed=0)
+        env.reset()
+        for _ in range(4):
+            env.step(np.zeros(3))
+        ref = weakref.ref(env.emulator)
+        env.reset()
+        assert ref() is None

@@ -78,6 +78,61 @@ class TestCategorical:
         assert a.kl(b)[0] > 0.1
 
 
+class ReferenceCategorical:
+    """The retired eager ``Categorical``: probabilities built at construction."""
+
+    def __init__(self, logits):
+        self.logits = np.atleast_2d(np.asarray(logits, dtype=float))
+        z = self.logits - self.logits.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        se = e.sum(axis=-1, keepdims=True)
+        e /= se
+        self.probs = e
+        np.log(se, out=se)
+        z -= se
+        self._log_probs = z
+
+    def sample(self, rng):
+        gumbel = -np.log(-np.log(rng.uniform(size=self.logits.shape) + 1e-12) + 1e-12)
+        return np.argmax(self.logits + gumbel, axis=-1)
+
+    def mode(self):
+        return np.argmax(self.logits, axis=-1)
+
+    def log_prob(self, actions):
+        return self._log_probs[np.arange(self.logits.shape[0]), actions]
+
+    def entropy(self):
+        return -(self.probs * self._log_probs).sum(axis=-1)
+
+
+class TestCategoricalReference:
+    @given(
+        rows=st.integers(1, 9),
+        n=st.integers(2, 8),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        read_probs_first=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_eager_softmax_bitwise(self, rows, n, scale, read_probs_first, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((rows, n)) * scale
+        got, want = Categorical(logits), ReferenceCategorical(logits)
+        if read_probs_first:
+            assert got.probs.tobytes() == want.probs.tobytes()
+        actions = rng.integers(0, n, rows)
+        assert got.log_prob(actions).tobytes() == want.log_prob(actions).tobytes()
+        assert got.entropy().tobytes() == want.entropy().tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert np.array_equal(got.mode(), want.mode())
+        draw = int(rng.integers(2**32))
+        got_sample = got.sample(np.random.default_rng(draw))
+        want_sample = want.sample(np.random.default_rng(draw))
+        assert got_sample.dtype == want_sample.dtype
+        assert np.array_equal(got_sample, want_sample)
+
+
 class TestDiagGaussian:
     def test_log_prob_matches_scipy_formula(self):
         mean = np.array([[1.0, -1.0]])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rl.buffer import RolloutBuffer
 
@@ -103,3 +105,65 @@ class TestRolloutBuffer:
         assert not buf.full
         fill(buf, [2.0], [0.0], [False])
         assert buf.rewards[0, 0] == 2.0
+
+
+def reference_gae(rewards, values, dones, last_values, gamma, lam):
+    """The retired GAE kernel: one vectorized numpy step per time step.
+
+    Kept verbatim as the oracle for :meth:`RolloutBuffer.compute_gae`,
+    which must reproduce it bit for bit.  Returns (advantages, returns).
+    """
+    n, n_envs = rewards.shape
+    last = np.asarray(last_values, dtype=float).reshape(n_envs)
+    advantages = np.zeros((n, n_envs))
+    adv = np.zeros(n_envs)
+    for t in reversed(range(n)):
+        next_values = last if t == n - 1 else values[t + 1]
+        non_terminal = 1.0 - dones[t].astype(float)
+        delta = rewards[t] + gamma * next_values * non_terminal - values[t]
+        adv = delta + gamma * lam * non_terminal * adv
+        advantages[t] = adv
+    return advantages, advantages + values
+
+
+def assert_bitwise(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestGaeReference:
+    @given(
+        n_envs=st.sampled_from([1, 3, 16]),
+        n_steps=st.integers(1, 40),
+        spare=st.integers(0, 3),
+        dones_kind=st.sampled_from(["random", "all", "none"]),
+        gamma=st.floats(0.01, 1.0),
+        lam=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_numpy_step_loop_bitwise(
+        self, n_envs, n_steps, spare, dones_kind, gamma, lam, seed
+    ):
+        rng = np.random.default_rng(seed)
+        rewards = rng.standard_normal((n_steps, n_envs)) * rng.choice([0.01, 1.0, 100.0])
+        values = rng.standard_normal((n_steps, n_envs)) * 10.0
+        if dones_kind == "all":
+            dones = np.ones((n_steps, n_envs), dtype=bool)
+        elif dones_kind == "none":
+            dones = np.zeros((n_steps, n_envs), dtype=bool)
+        else:
+            dones = rng.random((n_steps, n_envs)) < 0.2
+        last = rng.standard_normal(n_envs) * 10.0
+        # A buffer with spare capacity holds a partial rollout.
+        buf = RolloutBuffer(n_steps + spare, 2, 1, discrete=True, n_envs=n_envs)
+        for t in range(n_steps):
+            buf.add_batch(
+                np.zeros((n_envs, 2)), np.zeros(n_envs, dtype=int), rewards[t],
+                dones[t], values[t], np.zeros(n_envs),
+            )
+        buf.compute_gae(last, gamma, lam)
+        advantages, returns = reference_gae(rewards, values, dones, last, gamma, lam)
+        assert_bitwise(buf.advantages[:n_steps], advantages)
+        assert_bitwise(buf.returns[:n_steps], returns)

@@ -1,5 +1,8 @@
 """Tests for RunningMeanStd (repro.rl.running_stat)."""
 
+import copy
+import pickle
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,3 +59,48 @@ class TestRunningMeanStd:
         np.testing.assert_allclose(restored.mean, rms.mean)
         np.testing.assert_allclose(restored.var, rms.var)
         assert restored.count == rms.count
+
+
+def reference_normalize(rms, x, clip):
+    """The retired ``normalize``: the scale recomputed on every call."""
+    return np.clip((np.asarray(x, dtype=float) - rms.mean) / np.sqrt(rms.var + 1e-8), -clip, clip)
+
+
+class TestNormalizeReference:
+    """``normalize`` caches its scale; every way ``var`` changes refreshes it."""
+
+    @given(
+        dim=st.integers(1, 6),
+        ops=st.lists(
+            st.sampled_from(["update", "load_state", "assign_var", "deepcopy", "pickle"]),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_uncached_formula_bitwise(self, dim, ops, seed):
+        rng = np.random.default_rng(seed)
+        rms = RunningMeanStd((dim,))
+        for op in ["construct"] + ops:
+            if op == "update":
+                rms.update(rng.standard_normal((int(rng.integers(1, 20)), dim)) * 50.0 + 3.0)
+            elif op == "load_state":
+                rms.load_state({
+                    "mean": rng.standard_normal(dim),
+                    "var": rng.random(dim) * 4.0,
+                    "count": 7.0,
+                })
+            elif op == "assign_var":
+                rms.var = rng.random(dim) * 9.0
+            elif op == "deepcopy":
+                rms = copy.deepcopy(rms)
+            elif op == "pickle":
+                rms = pickle.loads(pickle.dumps(rms))
+            clip = float(rng.choice([10.0, 5.0, 0.5]))
+            for x in (rng.standard_normal(dim) * 30.0, rng.standard_normal((3, dim)) * 30.0):
+                got = rms.normalize(x, clip=clip)
+                want = reference_normalize(rms, x, clip)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            got = rms.normalize(x)
+            assert got.tobytes() == reference_normalize(rms, x, 10.0).tobytes()

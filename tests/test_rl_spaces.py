@@ -72,6 +72,21 @@ class TestBox:
         np.testing.assert_allclose(box.scale_from_unit([5.0]), [10.0])
         np.testing.assert_allclose(box.scale_from_unit([-5.0]), [0.0])
 
+    @given(
+        st.lists(
+            st.one_of(st.floats(-3.0, 3.0), st.just(float("nan"))), min_size=3, max_size=3
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scale_from_unit_matches_np_clip_bitwise(self, unit, batch):
+        # The retired spelling, through np.clip's wrapper, is the oracle.
+        box = Box([6.0, 15.0, 0.0], [24.0, 60.0, 0.10])
+        u = np.array([unit, unit[::-1]]) if batch else np.array(unit)
+        want = box.low + (np.clip(u, -1.0, 1.0) + 1.0) * 0.5 * (box.high - box.low)
+        got = box.scale_from_unit(u)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_unit_midpoint(self):
         box = Box([0.8], [4.8])
         np.testing.assert_allclose(box.scale_from_unit([0.0]), [2.8])
