@@ -56,7 +56,8 @@ class LastActionSmoothing:
         if self._last is None:
             penalty = 0.0
         else:
-            penalty = float(np.sum(np.abs(action - self._last)))
+            # np.sum's own reduction, without its Python-level wrapper.
+            penalty = float(np.add.reduce(np.absolute(action - self._last), axis=None))
         self._last = action.copy()
         return penalty
 
@@ -88,6 +89,8 @@ class EwmaSmoothing:
         if self._ewma is None:
             self._ewma = action.copy()
             return 0.0
-        penalty = float(np.sum(np.abs(action - self._ewma) / self.ranges))
+        penalty = float(
+            np.add.reduce(np.absolute(action - self._ewma) / self.ranges, axis=None)
+        )
         self._ewma = (1.0 - self.alpha) * self._ewma + self.alpha * action
         return penalty

@@ -16,6 +16,7 @@ counter stays exact.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.cc.packet import Packet
@@ -47,11 +48,16 @@ class TimeVaryingLink:
     def set_conditions(
         self, bandwidth_mbps: float, latency_ms: float, loss_rate: float
     ) -> None:
-        """Apply a new (bandwidth, latency, loss) tuple."""
-        if bandwidth_mbps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_mbps}")
-        if latency_ms < 0:
-            raise ValueError(f"latency cannot be negative, got {latency_ms}")
+        """Apply a new (bandwidth, latency, loss) tuple.
+
+        Raises :class:`ValueError` unless the bandwidth is finite and
+        positive, the latency finite and non-negative, and the loss rate
+        in [0, 1] (the chained comparisons also reject NaN).
+        """
+        if not 0.0 < bandwidth_mbps < math.inf:
+            raise ValueError(f"bandwidth must be finite and positive, got {bandwidth_mbps}")
+        if not 0.0 <= latency_ms < math.inf:
+            raise ValueError(f"latency must be finite and non-negative, got {latency_ms}")
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {loss_rate}")
         self.bandwidth_mbps = float(bandwidth_mbps)

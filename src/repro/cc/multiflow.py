@@ -7,46 +7,58 @@ the bottleneck; this module extends the single-flow emulator to N
 senders sharing the droptail queue, and provides Jain's fairness index
 over their goodputs.
 
-The mechanics mirror :class:`repro.cc.network.PacketNetworkEmulator`,
-and so does the hot-path architecture (the multi-flow port of the PR 2
-fast path): integer event kinds, pre-drawn Bernoulli loss uniforms, a
-dedicated send-timer slot per flow instead of heap-resident send events,
-inlined queue admission with a maintained byte counter, and ``__slots__``
-flow records.  Two deliberate differences from the single-flow fast
-path, both forced by the bit-identity requirement (goldens pinned in
-``tests/test_multiflow_goldens.py`` for all five senders, *not*
-re-pinned):
+The mechanics mirror :class:`repro.cc.network.PacketNetworkEmulator`:
+integer event kinds, pre-drawn Bernoulli loss uniforms, inlined queue
+admission with a maintained byte counter, and ``__slots__`` flow
+records.  The event order is that of the plainest model, one heap event
+per hop (send, egress, deliver, ack, tick) in (time, creation) order;
+``tests/test_multiflow_reference.py`` checks it against such a model,
+and the goldens pinned in ``tests/test_multiflow_goldens.py`` for all
+five senders were captured from one.  The loop reaches that order with
+fewer events per packet:
 
-- *The deliver hop folds conditionally.*  The ack's second leg must be
-  priced at the one-way delay *in force when the packet reaches the
-  receiver*, and the adversarial scenario matrix changes latency every
-  interval; the single-flow emulator folds unconditionally (and
-  re-pinned its goldens for the interval-boundary cases where that moves
-  ack arrival times).  Here a receiver hop landing inside the current
-  ``run_until`` horizon schedules its ack directly at ``+2 x
-  one_way_delay`` -- conditions cannot change mid-window
+- *Pacing timers are armed only while the window is open.*  A send that
+  fills its flow's window holds the next pacing time on the flow
+  instead of arming it: the timer could only fire into the closed
+  window and park the flow, since nothing but an ack or an RTO of that
+  flow reopens it.  The ack or RTO that does re-arms the held timer if
+  it is still ahead of the current event, exactly where it would have
+  fired; if it has passed, the timer would have fired and parked, so
+  the send is due now under a fresh counter -- the order the parking
+  path produces.  A timer that fires into a window an ack closed after
+  it was armed still parks on the flow the same way.
+- *An ack that reopens a window sends inline* when no other event is
+  due at that instant: the fresh send would be the very next event.
+  The timer pop and the ack fall through to the one send body.
+- *The link's egress is a slot.*  At most one packet is in service, so
+  its egress is a (time, creation, counter) key beside the heap, and
+  each step takes the earlier of the slot and the heap head.
+- *The deliver hop folds.*  A receiver hop landing inside the current
+  ``run_until`` horizon schedules its ack directly at ``(egress +
+  delay) + delay`` -- conditions cannot change mid-window
   (``set_conditions`` is only called between ``run_interval`` calls), so
-  both legs provably see the same delay and the folded ack time is the
-  identical float.  A hop that crosses the window boundary goes to a
-  *pending-delivers* list instead of the heap; each later ``run_until``
-  converts the entries whose deliver time falls inside its window,
-  pricing the return leg at the delay then in force -- the same float
-  the historical ``deliver`` event read when it popped.  No heap
-  traffic either way.
+  both legs see the same delay.  A hop that crosses the window boundary
+  waits in a *pending-delivers* list; the ``run_until`` whose window
+  contains it prices the return leg at the delay then in force.  The
+  single-flow emulator folds unconditionally at the egress-time delay.
+- *Events are keyed (time, creation time, counter).*  The counter
+  orders the events created at one instant; for everything but an ack
+  the creation time adds nothing, since counters grow in processing
+  order.  A folded ack is created early, at egress or at a window
+  start, so it is keyed by its deliver hop's time and counter: at an
+  exact time tie it yields to an event created before its packet
+  reached the receiver, as the hop-per-event model orders them (unless
+  that event was itself created at the hop's very instant).
 - *The event loop is fused.*  ``run_until`` dispatches on the kind int
-  and inlines the send/egress/ack bodies directly, mirroring the hot
-  counters (event counter, loss-block cursor, conservation totals) in
-  locals and syncing them back on exit; per-event attribute traffic is
-  what the handler-table indirection cost at N flows.  Only the rare
-  RTO tick remains a method call.
+  and inlines the send/egress/ack bodies, mirroring the hot counters
+  (event counter, loss-block cursor, conservation totals) in locals and
+  syncing them back on exit.  Only the rare RTO tick is a method call.
 
-Event kinds:
+Heap event kinds:
 
-- ``SEND``   -- a flow's pacing timer fires; transmit if its cwnd allows
-  (never heap-resident: each flow has a dedicated timer slot),
-- ``EGRESS`` -- the head-of-line packet finishes transmission,
-- ``ACK``    -- the ack reaches the owning sender,
-- ``TICK``   -- periodic per-flow RTO check on a fixed ``tick_s`` grid.
+- ``SEND`` -- a flow's pacing timer fires; transmit if its cwnd allows,
+- ``ACK``  -- the ack reaches the owning sender,
+- ``TICK`` -- periodic per-flow RTO check every ``tick_s``.
 """
 
 from __future__ import annotations
@@ -67,10 +79,10 @@ _TICK_S = 0.1
 
 # Integer event kinds: tuple comparison in the heap and the run_until
 # dispatch both reduce to small-int operations instead of string
-# compares.  SEND never enters the heap (each flow has a dedicated timer
-# slot) and DELIVER never exists as an event (in-window hops fold into
-# the ack, boundary-crossing hops wait in the pending-delivers list).
-_EGRESS, _ACK, _TICK = 0, 1, 2
+# compares.  EGRESS never enters the heap (the link has one egress slot)
+# and DELIVER never exists as an event (in-window hops fold into the
+# ack, boundary-crossing hops wait in the pending-delivers list).
+_SEND, _ACK, _TICK = 0, 1, 2
 
 #: Uniform draws fetched from the generator per block.  Blocks preserve
 #: the exact per-packet draw sequence of the historical one-``random()``-
@@ -114,12 +126,12 @@ class _Flow:
         "ack_fn",
         "cwnd",
         "next_seq",
-        "send_blocked",
+        "held_t",
+        "held_tc",
+        "held_c",
         "last_progress",
         "delivered_bytes_interval",
         "delivered_bytes_total",
-        "send_t",
-        "send_c",
     )
 
     def __init__(self, sender: Sender) -> None:
@@ -132,20 +144,18 @@ class _Flow:
         #: exactly the per-check property read the naive loop performed.
         self.cwnd = sender.cwnd_packets
         self.next_seq = 0
-        self.send_blocked = False
+        #: The key ``(held_t, held_tc, held_c)`` of the pacing timer the
+        #: flow holds instead of arming while its window is closed;
+        #: ``held_t`` is None while the timer is armed in the heap (a flow
+        #: has exactly one of the two).  See the module docstring.
+        self.held_t: float | None = None
+        self.held_tc = 0.0
+        self.held_c = 0
         self.last_progress = 0.0
         self.delivered_bytes_interval = 0
         #: Cumulative delivered bytes (conservation: these sum to
         #: ``link.bytes_delivered`` across flows at any event boundary).
         self.delivered_bytes_total = 0
-        # The pacing timer lives in this dedicated slot instead of the
-        # heap: a flow has at most one pending send at any time (its send
-        # chain is self-perpetuating and parks in ``send_blocked`` when
-        # the window closes), so a (time, counter) pair replaces a heap
-        # push+pop per packet.  The counter preserves the exact FIFO
-        # tie-break order of the historical all-in-one-heap emulator.
-        self.send_t: float | None = None
-        self.send_c = 0
 
 
 class MultiFlowEmulator:
@@ -189,24 +199,32 @@ class MultiFlowEmulator:
         tick_s = float(tick_s)
         if not math.isfinite(tick_s) or tick_s <= 0:
             raise ValueError(f"tick_s must be a positive finite float, got {tick_s}")
-        if start_times is not None:
-            if len(start_times) != len(senders):
-                raise ValueError(
-                    f"got {len(start_times)} start times for {len(senders)} senders"
-                )
-            if any(t < 0 for t in start_times):
-                raise ValueError(f"start times must be non-negative: {start_times}")
+        start_stagger_s = float(start_stagger_s)
+        if not 0.0 <= start_stagger_s < math.inf:
+            raise ValueError(
+                f"start_stagger_s must be finite and non-negative, got {start_stagger_s}"
+            )
+        if start_times is None:
+            start_times = [index * start_stagger_s for index in range(len(senders))]
+        elif len(start_times) != len(senders):
+            raise ValueError(
+                f"got {len(start_times)} start times for {len(senders)} senders"
+            )
+        if not all(0.0 <= t < math.inf for t in start_times):
+            raise ValueError(
+                f"start times must be finite and non-negative: {list(start_times)}"
+            )
         self.link = link
         self.rng = np.random.default_rng(seed)
         self.now = 0.0
         self.tick_s = tick_s
-        self._events: list[tuple[float, int, int, Packet | None]] = []
+        self._events: list[tuple[float, float, int, int, Packet | int | None]] = []
         self._counter = 0
         # Packets past egress whose receiver hop crosses the current
         # window boundary: (deliver_time, counter, packet), converted to
         # ack events by the run_until window containing deliver_time (see
-        # the module docstring).  The counter is the one the historical
-        # deliver event would have carried; it orders conversions.
+        # the module docstring).  The counter is the receiver hop's, taken
+        # at egress; with deliver_time it keys the ack.
         self._pending_delivers: list[tuple[float, int, Packet]] = []
         self.flows = [_Flow(s) for s in senders]
         # Pre-drawn Bernoulli loss uniforms; see _LOSS_BLOCK.
@@ -216,29 +234,32 @@ class MultiFlowEmulator:
         self.packets_sent = 0
         self.packets_delivered = 0
         self.acks_in_flight = 0
+        # The link's egress slot: the key of the packet in service's
+        # egress, its time math.inf while the link is idle.
+        self._egress_t = math.inf
+        self._egress_tc = 0.0
+        self._egress_c = 0
         # Counter assignment order matches the historical implementation:
         # one send per flow (counters 1..N), then the first tick (N+1).
-        for index, flow in enumerate(self.flows):
+        for index, start in enumerate(start_times):
             self._counter += 1
-            flow.send_t = (
-                start_times[index] if start_times is not None
-                else index * start_stagger_s
-            )
-            flow.send_c = self._counter
+            heappush(self._events, (float(start), 0.0, self._counter, _SEND, index))
         self._counter += 1
-        heappush(self._events, (tick_s, self._counter, _TICK, None))
+        heappush(self._events, (tick_s, 0.0, self._counter, _TICK, None))
 
     # -- events ------------------------------------------------------------------
 
     def run_until(self, t_end: float) -> None:
         """Process all events up to simulated time ``t_end``.
 
-        The fused hot loop (see the module docstring): interleaves the
-        heap with the per-flow send slots under the same (time, counter)
-        key the heap uses -- so event order is identical to scheduling
-        sends through the heap -- and inlines the send/egress/ack bodies
-        around the dispatch, mirroring the hot counters in locals.
+        The fused hot loop (see the module docstring): each step takes
+        the earlier of the heap head and the link's egress slot under
+        the (time, creation time, counter) key, and inlines the
+        send/egress/ack bodies around the dispatch, mirroring the hot
+        counters in locals.
         """
+        if not math.isfinite(t_end):
+            raise ValueError(f"t_end must be finite, got {t_end}")
         if t_end < self.now:
             raise ValueError("cannot run backwards in time")
         link = self.link
@@ -256,9 +277,8 @@ class MultiFlowEmulator:
         # Convert the pending receiver hops this window reaches: the
         # return leg is priced at the delay now in force -- the same
         # float the historical deliver event read when it popped at
-        # deliver_t inside this window.  Sorting on (deliver_t, counter)
-        # reproduces the order those pops would have assigned fresh ack
-        # counters in.  (A delay drop can make a later hop due before an
+        # deliver_t inside this window -- and the ack is keyed as created
+        # by that hop.  (A delay drop can make a later hop due before an
         # earlier still-crossing one, so the list is not always sorted.)
         if pending:
             due = [e for e in pending if e[0] <= t_end]
@@ -269,10 +289,8 @@ class MultiFlowEmulator:
                     self._pending_delivers = pending = [
                         e for e in pending if e[0] > t_end
                     ]
-                due.sort()
-                for deliver_t, _c, packet in due:
-                    counter += 1
-                    heappush(events, (deliver_t + delay, counter, _ACK, packet))
+                for deliver_t, c, packet in due:
+                    heappush(events, (deliver_t + delay, deliver_t, c, _ACK, packet))
         loss_block = self._loss_block
         loss_idx = self._loss_idx
         packets_sent = self.packets_sent
@@ -284,116 +302,101 @@ class MultiFlowEmulator:
         bytes_delivered = link.bytes_delivered
         drops_loss = link.drops_loss
         drops_queue = link.drops_queue
-        # Earliest pending send across the flow slots; rescanned after a
-        # send fires (O(n_flows), N is a handful), compare-updated on the
-        # unblock paths (the waking slot was empty, so the cached min
-        # cannot already point at it).
-        send_t: float | None = None
-        send_c = 0
-        send_i = -1
-        rescan = True
+        inf = math.inf
+        egress_t = self._egress_t
+        egress_tc = self._egress_tc
+        egress_c = self._egress_c
         while True:
-            if rescan:
-                rescan = False
-                send_t = None
-                for i, fl in enumerate(flows):
-                    t = fl.send_t
-                    if t is not None and (
-                        send_t is None
-                        or t < send_t
-                        or (t == send_t and fl.send_c < send_c)
-                    ):
-                        send_t = t
-                        send_c = fl.send_c
-                        send_i = i
-            if events:
-                head = events[0]
-                head_t = head[0]
-                if send_t is None or head_t < send_t or (
-                    head_t == send_t and head[1] < send_c
-                ):
-                    # -- heap event ------------------------------------
-                    if head_t > t_end:
-                        break
-                    heappop(events)
-                    now = head_t
-                    kind = head[2]
-                    if kind == _ACK:
-                        packet = head[3]
-                        acks_in_flight -= 1
-                        packets_delivered += 1
-                        owner = packet.owner
-                        flow = flows[owner]
-                        flow.ack_fn(packet, now)
-                        sender = flow.sender
-                        flow.cwnd = sender.cwnd_packets
-                        flow.last_progress = now
-                        # can_send() inlined (sole definition lives in
-                        # base.Sender; no subclass overrides it).
-                        if flow.send_blocked and len(sender.inflight) < flow.cwnd:
-                            flow.send_blocked = False
-                            counter += 1
-                            flow.send_t = now
-                            flow.send_c = counter
-                            if send_t is None or now < send_t or (
-                                now == send_t and counter < send_c
-                            ):
-                                send_t = now
-                                send_c = counter
-                                send_i = owner
-                    elif kind == _EGRESS:
-                        # link.dequeue/start-service inlined.
-                        packet = queue.popleft()
-                        size = packet.size_bytes
-                        queue_bytes -= size
-                        bytes_delivered += size
-                        flow = flows[packet.owner]
-                        flow.delivered_bytes_interval += size
-                        flow.delivered_bytes_total += size
-                        acks_in_flight += 1
-                        deliver_t = now + delay
-                        counter += 1
-                        if deliver_t <= t_end:
-                            # In-window receiver hop: fold (both legs see
-                            # the same frozen delay).
-                            heappush(
-                                events, (deliver_t + delay, counter, _ACK, packet)
-                            )
-                        else:
-                            pending.append((deliver_t, counter, packet))
-                        if queue:
-                            nxt = queue[0]
-                            nxt.service_start = now
-                            counter += 1
-                            heappush(
-                                events,
-                                (
-                                    now + nxt.size_bytes * 8.0 / rate_bps,
-                                    counter,
-                                    _EGRESS,
-                                    None,
-                                ),
-                            )
-                        else:
-                            link.busy = False
-                    else:  # _TICK (rare: every tick_s)
-                        self.now = now
-                        self._counter = counter
-                        self._on_tick(None)
-                        counter = self._counter
-                        rescan = True  # the tick may have woken flows
-                    continue
-            if send_t is None or send_t > t_end:
-                break
-            # -- send timer (from the flow slot, never the heap) -------
-            now = send_t
-            flow = flows[send_i]
-            flow.send_t = None
-            rescan = True
-            sender = flow.sender
-            if len(sender.inflight) >= flow.cwnd:  # can_send() inlined
-                flow.send_blocked = True
+            # The heap is never empty: the tick re-arms itself.
+            head = events[0]
+            head_t = head[0]
+            if egress_t < head_t or (
+                egress_t == head_t and (egress_tc, egress_c) < (head[1], head[2])
+            ):
+                # -- egress (from the link's slot, never the heap) ---------
+                if egress_t > t_end:
+                    break
+                now = egress_t
+                # link.dequeue/start-service inlined.
+                packet = queue.popleft()
+                size = packet.size_bytes
+                queue_bytes -= size
+                bytes_delivered += size
+                flow = flows[packet.owner]
+                flow.delivered_bytes_interval += size
+                flow.delivered_bytes_total += size
+                acks_in_flight += 1
+                deliver_t = now + delay
+                counter += 1
+                if deliver_t <= t_end:
+                    # In-window receiver hop: fold (both legs see the
+                    # same frozen delay).
+                    heappush(events, (deliver_t + delay, deliver_t, counter, _ACK, packet))
+                else:
+                    pending.append((deliver_t, counter, packet))
+                if queue:
+                    nxt = queue[0]
+                    nxt.service_start = now
+                    counter += 1
+                    egress_t = now + nxt.size_bytes * 8.0 / rate_bps
+                    egress_tc = now
+                    egress_c = counter
+                else:
+                    egress_t = inf
                 continue
+            if head_t > t_end:
+                break
+            heappop(events)
+            now = head_t
+            kind = head[3]
+            if kind == _ACK:
+                packet = head[4]
+                acks_in_flight -= 1
+                packets_delivered += 1
+                index = packet.owner
+                flow = flows[index]
+                flow.ack_fn(packet, now)
+                sender = flow.sender
+                cwnd = flow.cwnd = sender.cwnd_packets
+                flow.last_progress = now
+                # can_send() inlined (sole definition lives in
+                # base.Sender; no subclass overrides it).
+                held_t = flow.held_t
+                if held_t is None or len(sender.inflight) >= cwnd:
+                    continue
+                # The window reopened under a held pacing timer.
+                flow.held_t = None
+                if held_t > now or (
+                    held_t == now and (flow.held_tc, flow.held_c) > (head[1], head[2])
+                ):
+                    # Still ahead: arm it where it would have fired.
+                    heappush(events, (held_t, flow.held_tc, flow.held_c, _SEND, index))
+                    continue
+                # Passed: the timer already fired into the closed window,
+                # so the send is due now under a fresh counter -- next,
+                # unless another event is due at this same instant.
+                counter += 1
+                if events[0][0] == now or egress_t == now:
+                    heappush(events, (now, now, counter, _SEND, index))
+                    continue
+            elif kind == _SEND:
+                index = head[4]
+                flow = flows[index]
+                sender = flow.sender
+                if len(sender.inflight) >= flow.cwnd:  # can_send() inlined
+                    # An ack closed the window after this timer was armed:
+                    # hold the fired timer's own key (already passed).
+                    flow.held_t = now
+                    flow.held_tc = head[1]
+                    flow.held_c = head[2]
+                    continue
+            else:  # _TICK (rare: every tick_s)
+                self.now = now
+                self._counter = counter
+                self._on_tick(head[1], head[2])
+                counter = self._counter
+                continue
+            # -- send (a pacing timer, or an ack reopening the window) -----
             seq = flow.next_seq
             mss = sender.mss
             packet = Packet(
@@ -406,7 +409,8 @@ class MultiFlowEmulator:
             flow.next_seq = seq + 1
             packets_sent += 1
             # register_send() inlined (sole definition in base.Sender).
-            sender.inflight[seq] = packet
+            inflight = sender.inflight
+            inflight[seq] = packet
             if seq > sender.highest_seq_sent:
                 sender.highest_seq_sent = seq
             if loss_idx == _LOSS_BLOCK:
@@ -418,23 +422,16 @@ class MultiFlowEmulator:
                 if len(queue) < queue_packets:
                     packet.ingress_time = now
                     # Tag the owner flow on the packet for demultiplexing.
-                    packet.owner = send_i
+                    packet.owner = index
                     # link.enqueue/start-service inlined.
                     queue.append(packet)
                     queue_bytes += mss
-                    if not link.busy:
-                        link.busy = True
+                    if egress_t == inf:  # the link was idle
                         packet.service_start = now
                         counter += 1
-                        heappush(
-                            events,
-                            (
-                                now + mss * 8.0 / rate_bps,
-                                counter,
-                                _EGRESS,
-                                None,
-                            ),
-                        )
+                        egress_t = now + mss * 8.0 / rate_bps
+                        egress_tc = now
+                        egress_c = counter
                 else:
                     drops_queue += 1
             else:
@@ -443,34 +440,51 @@ class MultiFlowEmulator:
             if rate < 1e3:
                 rate = 1e3
             counter += 1
-            flow.send_t = now + mss * 8.0 / rate
-            flow.send_c = counter
+            if len(inflight) < flow.cwnd:
+                heappush(events, (now + mss * 8.0 / rate, now, counter, _SEND, index))
+            else:
+                # The send filled the window: hold the next pacing time
+                # instead of arming a timer that would find it closed.
+                flow.held_t = now + mss * 8.0 / rate
+                flow.held_tc = now
+                flow.held_c = counter
         self.now = t_end
         self._counter = counter
+        self._egress_t = egress_t
+        self._egress_tc = egress_tc
+        self._egress_c = egress_c
         self._loss_idx = loss_idx
         self.packets_sent = packets_sent
         self.packets_delivered = packets_delivered
         self.acks_in_flight = acks_in_flight
+        link.busy = egress_t != inf
         link._queue_bytes = queue_bytes
         link.bytes_delivered = bytes_delivered
         link.drops_loss = drops_loss
         link.drops_queue = drops_queue
 
-    def _on_tick(self, _packet: Packet | None) -> None:
+    def _on_tick(self, tick_tc: float, tick_c: int) -> None:
+        """RTO check at the tick keyed ``(self.now, tick_tc, tick_c)``."""
         now = self.now
-        for flow in self.flows:
+        events = self._events
+        for index, flow in enumerate(self.flows):
             sender = flow.sender
             if sender.inflight and now - flow.last_progress > sender.rto_s():
                 sender.handle_timeout(now)
                 flow.cwnd = sender.cwnd_packets
                 flow.last_progress = now
-                if flow.send_blocked:
-                    flow.send_blocked = False
-                    self._counter += 1
-                    flow.send_t = now
-                    flow.send_c = self._counter
+                held_t = flow.held_t
+                if held_t is not None:
+                    # The same two cases as an ack reopening the window.
+                    flow.held_t = None
+                    held = (held_t, flow.held_tc, flow.held_c)
+                    if held > (now, tick_tc, tick_c):
+                        heappush(events, (*held, _SEND, index))
+                    else:
+                        self._counter += 1
+                        heappush(events, (now, now, self._counter, _SEND, index))
         self._counter += 1
-        heappush(self._events, (now + self.tick_s, self._counter, _TICK, None))
+        heappush(events, (now + self.tick_s, now, self._counter, _TICK, None))
 
     # -- controller API ---------------------------------------------------------------
 
@@ -480,8 +494,8 @@ class MultiFlowEmulator:
 
     def run_interval(self, dt: float) -> list[FlowStats]:
         """Advance ``dt`` seconds; return per-flow delivery stats."""
-        if dt <= 0:
-            raise ValueError("interval must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"interval must be finite and positive, got {dt}")
         for flow in self.flows:
             flow.delivered_bytes_interval = 0
         self.run_until(self.now + dt)

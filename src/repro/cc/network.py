@@ -28,6 +28,7 @@ running-sum accumulators and three heap operations (send, egress, ack).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -157,6 +158,8 @@ class PacketNetworkEmulator:
         same (time, counter) key the heap uses, so event order is
         identical to scheduling sends through the heap.
         """
+        if not math.isfinite(t_end):
+            raise ValueError(f"t_end must be finite, got {t_end}")
         if t_end < self.now:
             raise ValueError("cannot run backwards in time")
         events = self._events
@@ -327,8 +330,8 @@ class PacketNetworkEmulator:
 
     def run_interval(self, dt: float) -> IntervalStats:
         """Advance ``dt`` seconds and return this interval's link stats."""
-        if dt <= 0:
-            raise ValueError("interval must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"interval must be finite and positive, got {dt}")
         t_start = self.now
         self._interval_bytes = 0
         self._interval_sojourn_sum = 0.0

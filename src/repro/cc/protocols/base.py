@@ -71,6 +71,7 @@ class Sender:
             rate = 0.0
         if seq > self.highest_seq_acked:
             self.highest_seq_acked = seq
+        sojourn = packet.service_start - packet.ingress_time
         # Positional construction: this runs once per delivered packet.
         ack = AckInfo(
             seq,
@@ -78,11 +79,14 @@ class Sender:
             rtt,
             delivered,
             rate,
-            max(packet.service_start - packet.ingress_time, 0.0),
+            0.0 if sojourn < 0.0 else sojourn,  # max(sojourn, 0.0), NaN kept
             packet.delivered_at_send,
         )
         self.on_ack(ack)
-        self._detect_losses(now)
+        # Most acks leave nothing past the reordering threshold: read the
+        # first in-flight seq here and skip the call when it survives.
+        if inflight and next(iter(inflight)) < self.highest_seq_acked - _DUP_THRESHOLD:
+            self._detect_losses(now)
 
     def _detect_losses(self, now: float) -> None:
         """Declare packets reordered past the dup-ack threshold as lost.

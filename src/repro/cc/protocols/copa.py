@@ -50,14 +50,6 @@ class CopaSender(Sender):
 
     # -- filters --------------------------------------------------------------
 
-    @staticmethod
-    def _push_min(filt: deque, now: float, rtt: float, window: float) -> None:
-        while filt and filt[-1][1] >= rtt:
-            filt.pop()
-        filt.append((now, rtt))
-        while filt and filt[0][0] < now - window:
-            filt.popleft()
-
     @property
     def rtt_min_s(self) -> float | None:
         return self._rtt_min[0][1] if self._rtt_min else None
@@ -74,31 +66,60 @@ class CopaSender(Sender):
     # -- hooks -----------------------------------------------------------------
 
     def on_ack(self, ack: AckInfo) -> None:
-        srtt = self.srtt_s if self.srtt_s is not None else ack.rtt_s
-        self._push_min(self._rtt_min, ack.now, ack.rtt_s, self.rtt_min_window_s)
-        self._push_min(
-            self._rtt_standing, ack.now, ack.rtt_s,
-            max(self.standing_window_factor * srtt, 0.01),
-        )
+        # Hot path (one call per delivered packet): both windowed-min
+        # filters are pushed inline and each head is read once, and
+        # comparisons stand in for ``max``/``min`` (same floats, NaN
+        # included; the CC goldens pin them).
+        now = ack.now
+        rtt = ack.rtt_s
+        srtt = self.srtt_s if self.srtt_s is not None else rtt
+        # Each filter is a monotonic deque of (time, rtt): drop the
+        # samples the new one dominates, then the ones aged out.
+        mins = self._rtt_min
+        while mins and mins[-1][1] >= rtt:
+            mins.pop()
+        mins.append((now, rtt))
+        while mins and mins[0][0] < now - self.rtt_min_window_s:
+            mins.popleft()
+        window = self.standing_window_factor * srtt
+        if window < 0.01:
+            window = 0.01
+        standing = self._rtt_standing
+        while standing and standing[-1][1] >= rtt:
+            standing.pop()
+        standing.append((now, rtt))
+        while standing and standing[0][0] < now - window:
+            standing.popleft()
+        rtt_min = mins[0][1] if mins else None
+        rtt_standing = standing[0][1] if standing else None
 
-        dq = self.queuing_delay_s()
+        if rtt_min is None or rtt_standing is None:
+            dq = 0.0
+        else:
+            dq = rtt_standing - rtt_min
+            if dq < 0.0:
+                dq = 0.0
         if dq <= 1e-6:
             target_rate = float("inf")
         else:
             target_rate = 1.0 / (self.delta * dq)  # packets per second
-        current_rate = self.cwnd / max(self.rtt_standing_s or srtt, 1e-6)
+        rtt_now = rtt_standing or srtt
+        if rtt_now < 1e-6:
+            rtt_now = 1e-6
+        current_rate = self.cwnd / rtt_now
 
         direction = 1 if current_rate < target_rate else -1
         if direction != self._direction:
             self._direction = direction
-            self._direction_since = ack.now
+            self._direction_since = now
             self.velocity = 1.0
-        elif ack.now - self._direction_since > 2.0 * srtt:
+        elif now - self._direction_since > 2.0 * srtt:
             # Stable direction for a couple of RTTs: accelerate.
-            self.velocity = min(self.velocity * 2.0, self.cwnd)
-            self._direction_since = ack.now
-        self.cwnd += direction * self.velocity / (self.delta * self.cwnd)
-        self.cwnd = max(self.cwnd, 2.0)
+            velocity = self.velocity * 2.0
+            self.velocity = self.cwnd if self.cwnd < velocity else velocity
+            self._direction_since = now
+        cwnd = self.cwnd + direction * self.velocity / (self.delta * self.cwnd)
+        self.cwnd = 2.0 if cwnd < 2.0 else cwnd
 
     def on_packet_lost(self, seq: int, now: float) -> None:
         # Default-mode Copa reacts to loss only through the delay signal.
@@ -113,7 +134,8 @@ class CopaSender(Sender):
 
     @property
     def cwnd_packets(self) -> int:
-        return max(int(self.cwnd), 2)
+        cwnd = int(self.cwnd)
+        return cwnd if cwnd > 2 else 2
 
     def pacing_rate_bps(self, now: float) -> float:
         rtt = self.rtt_standing_s or self.srtt_s or 0.1

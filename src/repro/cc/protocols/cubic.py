@@ -76,7 +76,8 @@ class CubicSender(Sender):
 
     @property
     def cwnd_packets(self) -> int:
-        return max(int(self.cwnd), 1)
+        cwnd = int(self.cwnd)
+        return cwnd if cwnd > 1 else 1
 
     def pacing_rate_bps(self, now: float) -> float:
         """Pace the window over one smoothed RTT (x2 so cwnd governs)."""

@@ -41,7 +41,8 @@ class RenoSender(Sender):
 
     @property
     def cwnd_packets(self) -> int:
-        return max(int(self.cwnd), 1)
+        cwnd = int(self.cwnd)
+        return cwnd if cwnd > 1 else 1
 
     def pacing_rate_bps(self, now: float) -> float:
         srtt = self.srtt_s if self.srtt_s is not None else 0.1

@@ -16,6 +16,7 @@ from repro.abr.protocols import (
     run_session,
 )
 from repro.abr.protocols.optimal import (
+    _download_times,
     optimal_qoe_exhaustive_batch,
     optimal_qoe_exhaustive_mixed,
 )
@@ -204,6 +205,44 @@ class TestExhaustive:
                                       buffer, prev, match):
         with pytest.raises(ValueError, match=match):
             SOLVERS[solver](video, start, bandwidths, buffer, prev)
+
+
+def reference_download_times(video, start_chunks, bandwidths):
+    """``_download_times`` with its start-chunk checks as elementwise
+    compares, as they were before they became one min() and one max()."""
+    if not np.isfinite(bandwidths).all():
+        raise ValueError("bandwidths must be finite")
+    rates = bandwidths * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION
+    if (rates <= 0).any():
+        raise ValueError("bandwidths must be positive")
+    steps = bandwidths.shape[1]
+    starts = np.asarray(start_chunks, dtype=int)
+    if (starts < 0).any():
+        raise ValueError("start chunk must be non-negative")
+    if (starts + steps > video.n_chunks).any():
+        raise ValueError("bandwidth schedule runs past the end of the video")
+    sizes = video.chunk_sizes_bytes[starts[:, None] + np.arange(steps)]
+    return sizes / rates[:, :, None] + LINK_RTT_S
+
+
+def _outcome(call):
+    try:
+        return call().tobytes()
+    except ValueError as error:
+        return str(error)
+
+
+@given(
+    starts=st.lists(st.integers(-2, 13), max_size=4),
+    steps=st.integers(1, 5),
+    bandwidth=st.sampled_from([1.5, 0.0, -1.0, np.nan, np.inf]),
+)
+@settings(max_examples=200, deadline=None)
+def test_download_time_checks_match_elementwise_checks(starts, steps, bandwidth):
+    video = Video.synthetic(n_chunks=12, seed=0)
+    bandwidths = np.full((len(starts), steps), bandwidth)
+    want = _outcome(lambda: reference_download_times(video, starts, bandwidths))
+    assert _outcome(lambda: _download_times(video, starts, bandwidths)) == want
 
 
 class TestDP:

@@ -81,3 +81,39 @@ class TestEwmaSmoothing:
         s = EwmaSmoothing(ranges=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             s(np.array([1.0]))
+
+
+class TestPenaltyReduction:
+    """Both penalties reduce with ``np.add.reduce(np.absolute(...), axis=None)``,
+    np.sum's own reduction without its wrapper: bit for bit the
+    ``np.sum(np.abs(...))`` they replaced, at any action shape."""
+
+    SHAPES = [(1,), (2,), (3,), (2, 2)]
+
+    def test_last_action_matches_sum_of_abs(self):
+        rng = np.random.default_rng(0)
+        for shape in self.SHAPES:
+            smoothing = LastActionSmoothing()
+            last = None
+            for _ in range(2500):
+                action = rng.normal(0.0, 10.0, shape)
+                got = smoothing(action)
+                want = 0.0 if last is None else float(np.sum(np.abs(action - last)))
+                assert got.hex() == want.hex()
+                last = action
+
+    def test_ewma_matches_sum_of_abs(self):
+        rng = np.random.default_rng(1)
+        for shape in self.SHAPES:
+            ranges = rng.uniform(0.1, 50.0, shape)
+            smoothing = EwmaSmoothing(ranges=ranges, alpha=0.125)
+            ewma = None
+            for _ in range(2500):
+                action = rng.uniform(-5.0, 60.0, shape)
+                got = smoothing(action)
+                if ewma is None:
+                    want, ewma = 0.0, action.copy()
+                else:
+                    want = float(np.sum(np.abs(action - ewma) / ranges))
+                    ewma = (1.0 - 0.125) * ewma + 0.125 * action
+                assert got.hex() == want.hex()

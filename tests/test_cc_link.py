@@ -65,3 +65,30 @@ class TestTimeVaryingLink:
         assert link.bandwidth_mbps == 24.0
         assert link.latency_ms == 15.0
         assert link.loss_rate == 0.05
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteConditions:
+    """A NaN or infinite condition is rejected, never silently emulated."""
+
+    @pytest.mark.parametrize("bandwidth", NON_FINITE + [0.0, -1.0])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            TimeVaryingLink(bandwidth, 40.0)
+        link = TimeVaryingLink(12.0, 40.0)
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            link.set_conditions(bandwidth, 40.0, 0.0)
+        assert link.bandwidth_mbps == 12.0
+
+    @pytest.mark.parametrize("latency", NON_FINITE + [-1.0])
+    def test_latency_must_be_finite_and_non_negative(self, latency):
+        with pytest.raises(ValueError, match="latency must be finite and non-negative"):
+            TimeVaryingLink(12.0, latency)
+        link = TimeVaryingLink(12.0, 40.0)
+        with pytest.raises(ValueError, match="latency must be finite and non-negative"):
+            link.set_conditions(12.0, latency, 0.0)
+        assert link.latency_ms == 40.0
+        link.set_conditions(12.0, 0.0, 0.0)  # zero latency is allowed
+        assert link.one_way_delay_s == 0.0

@@ -200,3 +200,37 @@ class TestConservation:
                                   loss=0.02)
         assert [f.delivered_bytes_total for f in a_emulator.flows] != \
             [f.delivered_bytes_total for f in b_emulator.flows]
+
+
+class TestNonFiniteInputs:
+    """Non-finite times raise instead of hanging or sending nothing."""
+
+    def _emulator(self, **kwargs):
+        return MultiFlowEmulator([CubicSender(), RenoSender()],
+                                 TimeVaryingLink(10.0, 40.0), **kwargs)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.03])
+    def test_interval_must_be_finite_and_positive(self, dt, call_with_alarm):
+        with pytest.raises(ValueError, match="interval must be finite and positive"):
+            call_with_alarm(self._emulator().run_interval, dt)
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+    def test_horizon_must_be_finite(self, t_end, call_with_alarm):
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            call_with_alarm(self._emulator().run_until, t_end)
+
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), -0.5])
+    def test_start_times_must_be_finite_and_non_negative(self, start):
+        with pytest.raises(ValueError, match="start times must be finite and non-negative"):
+            self._emulator(start_times=[0.0, start])
+
+    @pytest.mark.parametrize("stagger", [float("nan"), float("inf"), -0.05])
+    def test_stagger_must_be_finite_and_non_negative(self, stagger):
+        with pytest.raises(ValueError, match="start_stagger_s must be finite and non-negative"):
+            self._emulator(start_stagger_s=stagger)
+
+    def test_nan_conditions_rejected_before_they_stall_delivery(self):
+        emulator = self._emulator()
+        with pytest.raises(ValueError, match="latency must be finite and non-negative"):
+            emulator.set_conditions(10.0, float("nan"), 0.0)
+        assert sum(s.bytes_delivered for s in emulator.run_interval(1.0)) > 0

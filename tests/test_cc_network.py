@@ -319,3 +319,26 @@ class TestEmulatorLifetime:
         ref = weakref.ref(env.emulator)
         env.reset()
         assert ref() is None
+
+
+class TestNonFiniteInputs:
+    """Non-finite intervals and horizons raise instead of looping forever."""
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -0.03, 0.0])
+    def test_interval_must_be_finite_and_positive(self, dt, call_with_alarm):
+        emu, _sender, _link = make_emulator()
+        with pytest.raises(ValueError, match="interval must be finite and positive"):
+            call_with_alarm(emu.run_interval, dt)
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+    def test_horizon_must_be_finite(self, t_end, call_with_alarm):
+        emu, _sender, _link = make_emulator()
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            call_with_alarm(emu.run_until, t_end)
+
+    def test_nan_bandwidth_rejected_before_it_poisons_utilization(self):
+        emu, _sender, link = make_emulator()
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            emu.set_conditions(float("nan"), 40.0, 0.0)
+        assert link.bandwidth_mbps == 12.0
+        assert np.isfinite(emu.run_interval(0.03).utilization)
