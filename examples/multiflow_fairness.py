@@ -18,6 +18,7 @@ from repro.cc import (
     MultiFlowEmulator,
     RenoSender,
     TimeVaryingLink,
+    jain_fairness,
 )
 
 SCENARIOS = {
@@ -37,11 +38,11 @@ def main() -> None:
         emulator = MultiFlowEmulator([cls() for cls in sender_classes], link, seed=0)
         emulator.run_until(10.0)  # warm-up
         stats = emulator.run_interval(20.0)
-        rates = [s.throughput_mbps for s in stats]
+        rates = [b * 8.0 / 20.0 / 1e6 for b in stats.flow_bytes]
         rows.append([
             name,
             *(round(r, 2) for r in rates),
-            emulator.fairness(stats),
+            jain_fairness(rates),
         ])
     print(format_table(
         ["scenario", "flow A (Mbps)", "flow B (Mbps)", "Jain fairness"], rows

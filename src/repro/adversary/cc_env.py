@@ -27,7 +27,8 @@ import numpy as np
 from repro.adversary.reward import AdversaryReward, EwmaSmoothing
 from repro.cc.link import TimeVaryingLink
 from repro.obs.metrics import MetricsRecorder
-from repro.cc.network import IntervalStats, PacketNetworkEmulator
+from repro.cc.multiflow import IntervalStats
+from repro.cc.network import PacketNetworkEmulator
 from repro.cc.protocols.base import Sender
 from repro.rl.env import Env
 from repro.rl.ppo import PPO, PPOConfig

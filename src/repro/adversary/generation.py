@@ -22,7 +22,7 @@ import numpy as np
 from repro.abr.batched import resolve_batch_size
 from repro.adversary.abr_env import AbrAdversaryEnv
 from repro.adversary.cc_env import CcAdversaryEnv
-from repro.cc.network import IntervalStats
+from repro.cc.multiflow import IntervalStats
 from repro.exec import as_runner, spawn_rngs
 from repro.rl.ppo import PPO
 from repro.traces.trace import Trace

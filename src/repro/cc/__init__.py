@@ -16,8 +16,8 @@ statistically similar -- not bit-identical -- results.
 """
 
 from repro.cc.link import TimeVaryingLink
-from repro.cc.multiflow import MultiFlowEmulator, jain_fairness
-from repro.cc.network import IntervalStats, PacketNetworkEmulator
+from repro.cc.multiflow import IntervalStats, MultiFlowEmulator, jain_fairness
+from repro.cc.network import PacketNetworkEmulator
 from repro.cc.protocols.bbr import BBRSender
 from repro.cc.protocols.copa import CopaSender
 from repro.cc.protocols.cubic import CubicSender

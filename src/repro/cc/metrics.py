@@ -8,7 +8,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.cc.link import TimeVaryingLink
-from repro.cc.network import IntervalStats, PacketNetworkEmulator
+from repro.cc.multiflow import IntervalStats
+from repro.cc.network import PacketNetworkEmulator
 from repro.cc.protocols.base import Sender
 from repro.exec import ResultCache, as_runner, cached_map, make_key
 from repro.traces.trace import Trace

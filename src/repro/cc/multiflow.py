@@ -1,15 +1,22 @@
-"""Multi-flow emulation: several senders sharing one bottleneck.
+"""The packet emulator: N senders sharing one time-varying bottleneck.
 
-Section 5 points at adversarial goals beyond single-flow utilization --
-"finding conditions in which the protocol causes the highest amount of
-congestion", incast, unfairness.  Those need more than one flow through
-the bottleneck; this module extends the single-flow emulator to N
-senders sharing the droptail queue, and provides Jain's fairness index
-over their goodputs.
+Models the path the paper emulated with its modified Mahimahi ("an
+event-based approach to packet delivery", section 4): paced senders, a
+droptail queue served at a time-varying rate, symmetric propagation
+delay, and Bernoulli random loss on the data direction.  The controller
+(the CC adversary, a trace replay, the scenario matrix) calls
+:meth:`MultiFlowEmulator.run_interval` once per interval (30 ms in the
+paper); it returns that interval's :class:`IntervalStats` -- the
+adversary's observation, plus each flow's delivered bytes.  One flow is
+the paper's setting (:class:`repro.cc.network.PacketNetworkEmulator` is
+the one-flow constructor); several flows serve section 5's goals beyond
+single-flow utilization -- "finding conditions in which the protocol
+causes the highest amount of congestion", incast, unfairness -- with
+Jain's fairness index over their goodputs.
 
-The mechanics mirror :class:`repro.cc.network.PacketNetworkEmulator`:
-integer event kinds, pre-drawn Bernoulli loss uniforms, inlined queue
-admission with a maintained byte counter, and ``__slots__`` flow
+The mechanics: integer event kinds, pre-drawn Bernoulli loss uniforms,
+inlined queue admission with a maintained byte counter, link statistics
+read off the link's cumulative counters, and ``__slots__`` flow
 records.  The event order is that of the plainest model, one heap event
 per hop (send, egress, deliver, ack, tick) in (time, creation) order;
 ``tests/test_multiflow_reference.py`` checks it against such a model,
@@ -39,8 +46,7 @@ fewer events per packet:
   (``set_conditions`` is only called between ``run_interval`` calls), so
   both legs see the same delay.  A hop that crosses the window boundary
   waits in a *pending-delivers* list; the ``run_until`` whose window
-  contains it prices the return leg at the delay then in force.  The
-  single-flow emulator folds unconditionally at the egress-time delay.
+  contains it prices the return leg at the delay then in force.
 - *Events are keyed (time, creation time, counter).*  The counter
   orders the events created at one instant; for everything but an ack
   the creation time adds nothing, since counters grow in processing
@@ -51,14 +57,18 @@ fewer events per packet:
   that event was itself created at the hop's very instant).
 - *The event loop is fused.*  ``run_until`` dispatches on the kind int
   and inlines the send/egress/ack bodies, mirroring the hot counters
-  (event counter, loss-block cursor, conservation totals) in locals and
-  syncing them back on exit.  Only the rare RTO tick is a method call.
+  (event counter, loss-block cursor, conservation totals, the queue
+  sojourn sum) in locals and syncing them back on exit.  Only the rare
+  RTO tick is a method call.  Inlining ``Sender.can_send`` and
+  ``Sender.register_send`` is why a sender may not override them (see
+  :mod:`repro.cc.protocols.base`).
 
 Heap event kinds:
 
 - ``SEND`` -- a flow's pacing timer fires; transmit if its cwnd allows,
 - ``ACK``  -- the ack reaches the owning sender,
-- ``TICK`` -- periodic per-flow RTO check every ``tick_s``.
+- ``TICK`` -- periodic per-flow RTO check every ``tick_s``, on a fixed
+  grid whether or not anything is in flight.
 """
 
 from __future__ import annotations
@@ -73,7 +83,7 @@ from repro.cc.link import TimeVaryingLink
 from repro.cc.packet import Packet
 from repro.cc.protocols.base import Sender
 
-__all__ = ["FlowStats", "MultiFlowEmulator", "jain_fairness"]
+__all__ = ["IntervalStats", "MultiFlowEmulator", "jain_fairness"]
 
 _TICK_S = 0.1
 
@@ -110,12 +120,37 @@ def jain_fairness(rates) -> float:
     return float(x.sum() ** 2 / (len(x) * np.sum(x * x)))
 
 
-@dataclass
-class FlowStats:
-    """Per-flow outcome over an interval or a whole run."""
+@dataclass(slots=True)
+class IntervalStats:
+    """Link statistics over one controller interval."""
 
+    t_start: float
+    t_end: float
+    bandwidth_mbps: float
+    latency_ms: float
+    loss_rate: float
     bytes_delivered: int
-    throughput_mbps: float
+    #: Delivered bytes over interval capacity, clamped to 1.0 -- the
+    #: adversary's observation and reward input.
+    utilization: float
+    #: The unclamped delivered/capacity ratio.  Exceeds 1.0 when a standing
+    #: queue drains through an interval (bytes queued under earlier
+    #: conditions egress on top of the interval's own capacity); the
+    #: clamped ``utilization`` hides those drain intervals.
+    utilization_raw: float
+    #: Mean queueing delay of the packets that left the queue this interval.
+    mean_queue_sojourn_s: float
+    #: The standing queue's delay at the interval's end, at its rate.
+    queue_delay_end_s: float
+    drops_loss: int
+    drops_queue: int
+    #: Bytes delivered to each flow this interval, in sender order.
+    flow_bytes: tuple[int, ...]
+
+    @property
+    def throughput_mbps(self) -> float:
+        span = self.t_end - self.t_start
+        return self.bytes_delivered * 8.0 / span / 1e6 if span > 0 else 0.0
 
 
 class _Flow:
@@ -130,7 +165,6 @@ class _Flow:
         "held_tc",
         "held_c",
         "last_progress",
-        "delivered_bytes_interval",
         "delivered_bytes_total",
     )
 
@@ -138,10 +172,10 @@ class _Flow:
         self.sender = sender
         #: Bound ``handle_ack`` (one descriptor lookup per flow, not per ack).
         self.ack_fn = sender.handle_ack
-        #: Cached ``sender.cwnd_packets``.  Every protocol's cwnd depends
-        #: only on state mutated inside ``handle_ack``/``handle_timeout``,
-        #: so recomputing the property once after each of those calls is
-        #: exactly the per-check property read the naive loop performed.
+        #: Cached ``sender.cwnd_packets``, re-read only after
+        #: ``handle_ack`` and ``handle_timeout``: a sender's window may
+        #: change only inside those calls (see
+        #: :mod:`repro.cc.protocols.base`).
         self.cwnd = sender.cwnd_packets
         self.next_seq = 0
         #: The key ``(held_t, held_tc, held_c)`` of the pacing timer the
@@ -152,7 +186,6 @@ class _Flow:
         self.held_tc = 0.0
         self.held_c = 0
         self.last_progress = 0.0
-        self.delivered_bytes_interval = 0
         #: Cumulative delivered bytes (conservation: these sum to
         #: ``link.bytes_delivered`` across flows at any event boundary).
         self.delivered_bytes_total = 0
@@ -160,6 +193,9 @@ class _Flow:
 
 class MultiFlowEmulator:
     """N senders contending for one time-varying bottleneck.
+
+    ``history`` holds the :class:`IntervalStats` of every
+    :meth:`run_interval` call, in order.
 
     Conservation counters (exact at any event boundary, tested in
     tests/test_cc_multiflow.py)::
@@ -196,6 +232,14 @@ class MultiFlowEmulator:
     ) -> None:
         if not senders:
             raise ValueError("need at least one sender")
+        for sender in senders:
+            for name in ("can_send", "register_send"):
+                if getattr(type(sender), name) is not getattr(Sender, name):
+                    raise TypeError(
+                        f"{type(sender).__name__} overrides Sender.{name}, which "
+                        "the emulator inlines; limit sending through "
+                        "cwnd_packets instead"
+                    )
         tick_s = float(tick_s)
         if not math.isfinite(tick_s) or tick_s <= 0:
             raise ValueError(f"tick_s must be a positive finite float, got {tick_s}")
@@ -234,6 +278,10 @@ class MultiFlowEmulator:
         self.packets_sent = 0
         self.packets_delivered = 0
         self.acks_in_flight = 0
+        # Queue sojourns of the packets that left the queue since the
+        # current run_interval began (those under zero excluded).
+        self._sojourn_sum = 0.0
+        self.history: list[IntervalStats] = []
         # The link's egress slot: the key of the packet in service's
         # egress, its time math.inf while the link is idle.
         self._egress_t = math.inf
@@ -296,6 +344,7 @@ class MultiFlowEmulator:
         packets_sent = self.packets_sent
         packets_delivered = self.packets_delivered
         acks_in_flight = self.acks_in_flight
+        sojourn_sum = self._sojourn_sum
         # Link accumulators mirrored in locals (nothing reads them
         # mid-window; synced back at exit).
         queue_bytes = link._queue_bytes
@@ -322,9 +371,10 @@ class MultiFlowEmulator:
                 size = packet.size_bytes
                 queue_bytes -= size
                 bytes_delivered += size
-                flow = flows[packet.owner]
-                flow.delivered_bytes_interval += size
-                flow.delivered_bytes_total += size
+                flows[packet.owner].delivered_bytes_total += size
+                sojourn = packet.service_start - packet.ingress_time
+                if sojourn > 0.0:
+                    sojourn_sum += sojourn
                 acks_in_flight += 1
                 deliver_t = now + delay
                 counter += 1
@@ -359,8 +409,7 @@ class MultiFlowEmulator:
                 sender = flow.sender
                 cwnd = flow.cwnd = sender.cwnd_packets
                 flow.last_progress = now
-                # can_send() inlined (sole definition lives in
-                # base.Sender; no subclass overrides it).
+                # can_send() inlined (__init__ rejects overrides).
                 held_t = flow.held_t
                 if held_t is None or len(sender.inflight) >= cwnd:
                     continue
@@ -408,7 +457,7 @@ class MultiFlowEmulator:
             )
             flow.next_seq = seq + 1
             packets_sent += 1
-            # register_send() inlined (sole definition in base.Sender).
+            # register_send() inlined (__init__ rejects overrides).
             inflight = sender.inflight
             inflight[seq] = packet
             if seq > sender.highest_seq_sent:
@@ -457,6 +506,7 @@ class MultiFlowEmulator:
         self.packets_sent = packets_sent
         self.packets_delivered = packets_delivered
         self.acks_in_flight = acks_in_flight
+        self._sojourn_sum = sojourn_sum
         link.busy = egress_t != inf
         link._queue_bytes = queue_bytes
         link.bytes_delivered = bytes_delivered
@@ -492,20 +542,46 @@ class MultiFlowEmulator:
                        loss_rate: float) -> None:
         self.link.set_conditions(bandwidth_mbps, latency_ms, loss_rate)
 
-    def run_interval(self, dt: float) -> list[FlowStats]:
-        """Advance ``dt`` seconds; return per-flow delivery stats."""
+    def run_interval(self, dt: float) -> IntervalStats:
+        """Advance ``dt`` seconds and return this interval's link stats.
+
+        Bytes and drops are differences of the link's cumulative
+        counters; each packet past egress is either acked or has its ack
+        in flight, so ``packets_delivered + acks_in_flight`` counts the
+        egresses that the mean sojourn averages over.
+        """
         if not 0.0 < dt < math.inf:
             raise ValueError(f"interval must be finite and positive, got {dt}")
-        for flow in self.flows:
-            flow.delivered_bytes_interval = 0
-        self.run_until(self.now + dt)
-        return [
-            FlowStats(
-                bytes_delivered=flow.delivered_bytes_interval,
-                throughput_mbps=flow.delivered_bytes_interval * 8.0 / dt / 1e6,
-            )
-            for flow in self.flows
-        ]
-
-    def fairness(self, stats: list[FlowStats]) -> float:
-        return jain_fairness(s.throughput_mbps for s in stats)
+        link = self.link
+        flows = self.flows
+        t_start = self.now
+        bytes_before = link.bytes_delivered
+        drops_loss_before = link.drops_loss
+        drops_queue_before = link.drops_queue
+        egressed_before = self.packets_delivered + self.acks_in_flight
+        flow_before = [flow.delivered_bytes_total for flow in flows]
+        self._sojourn_sum = 0.0
+        self.run_until(t_start + dt)
+        delivered = link.bytes_delivered - bytes_before
+        egressed = self.packets_delivered + self.acks_in_flight - egressed_before
+        utilization_raw = delivered / (link.rate_bps * dt / 8.0)
+        stats = IntervalStats(
+            t_start=t_start,
+            t_end=self.now,
+            bandwidth_mbps=link.bandwidth_mbps,
+            latency_ms=link.latency_ms,
+            loss_rate=link.loss_rate,
+            bytes_delivered=delivered,
+            utilization=min(utilization_raw, 1.0),
+            utilization_raw=utilization_raw,
+            mean_queue_sojourn_s=self._sojourn_sum / egressed if egressed else 0.0,
+            queue_delay_end_s=link.queuing_delay_estimate_s(),
+            drops_loss=link.drops_loss - drops_loss_before,
+            drops_queue=link.drops_queue - drops_queue_before,
+            flow_bytes=tuple(
+                flow.delivered_bytes_total - before
+                for flow, before in zip(flows, flow_before)
+            ),
+        )
+        self.history.append(stats)
+        return stats

@@ -27,8 +27,8 @@ class Packet:
     delivered_time_at_send: float
     ingress_time: float = 0.0
     service_start: float = 0.0
-    #: Owning flow index in :class:`~repro.cc.multiflow.MultiFlowEmulator`
-    #: (-1 for the single-flow emulator, which has no demultiplexing).
+    #: Owning flow index in :class:`~repro.cc.multiflow.MultiFlowEmulator`,
+    #: set when the packet enters the queue (-1 until then).
     owner: int = -1
 
 

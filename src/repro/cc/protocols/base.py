@@ -1,13 +1,21 @@
 """The sender interface and the bookkeeping shared by all protocols.
 
-The emulator interacts with a sender through four calls:
+The packet emulator (:class:`repro.cc.multiflow.MultiFlowEmulator`)
+drives a sender through two calls:
 
-- :meth:`Sender.can_send` -- congestion-window admission,
-- :meth:`Sender.register_send` -- a packet left the host,
 - :meth:`Sender.handle_ack` -- an acknowledgment arrived (the base class
   derives RTT and delivery-rate samples, detects losses by reordering
   threshold, and then invokes the protocol hooks),
 - :meth:`Sender.handle_timeout` -- no progress for an RTO.
+
+It reads ``inflight``, ``mss``, ``delivered_bytes``, ``delivered_time``,
+:meth:`pacing_rate_bps` at each send and :meth:`rto_s` at each RTO
+check.  It reads :attr:`cwnd_packets` once at construction and again
+only after each ``handle_ack`` and ``handle_timeout``, so a window may
+change only inside those calls.  It inlines :meth:`can_send` and
+:meth:`register_send`, and rejects a sender whose class overrides
+either with a :class:`TypeError`; those two methods remain the API that
+the one-event-per-hop reference emulator in the tests drives.
 
 Protocols implement the ``on_ack`` / ``on_packet_lost`` / ``on_timeout``
 hooks plus the :attr:`cwnd_packets` and :meth:`pacing_rate_bps` controls.

@@ -61,7 +61,6 @@ class BBRSender(Sender):
         # Min-RTT filter: the kernel's scalar filter -- a new minimum (or
         # an expired window) replaces the estimate and restamps it.
         self._min_rtt_s: float | None = None
-        self._rtprop_expired = False
         self.round_count = 0
         self._next_round_delivered = 0
         self._full_bw = 0.0
@@ -86,26 +85,6 @@ class BBRSender(Sender):
     @property
     def rtprop_s(self) -> float | None:
         return self._min_rtt_s
-
-    def _update_filters(self, ack: AckInfo) -> None:
-        if ack.delivery_rate_bps > 0:
-            while self._bw_samples and self._bw_samples[-1][1] <= ack.delivery_rate_bps:
-                self._bw_samples.pop()
-            self._bw_samples.append((self.round_count, ack.delivery_rate_bps))
-            cutoff = self.round_count - self.bw_window_rounds
-            while self._bw_samples and self._bw_samples[0][0] < cutoff:
-                self._bw_samples.popleft()
-
-        # Kernel-style min filter: a strictly lower sample, or an expired
-        # window, replaces the estimate and restamps it.  The pre-update
-        # expiry flag is what triggers PROBE_RTT in ``_update_state``.
-        self._rtprop_expired = (
-            self._min_rtt_s is not None
-            and ack.now - self._rtprop_stamp > self.rtprop_window_s
-        )
-        if self._min_rtt_s is None or ack.rtt_s < self._min_rtt_s or self._rtprop_expired:
-            self._min_rtt_s = ack.rtt_s
-            self._rtprop_stamp = ack.now
 
     # -- state machine --------------------------------------------------------
 
@@ -133,46 +112,12 @@ class BBRSender(Sender):
             return 10.0
         return max(self.bdp_packets(self.max_bw_bps, rtprop), 1.0)
 
-    def _update_state(self, now: float) -> None:
-        if self.mode == self.STARTUP:
-            self._check_full_pipe()
-            if self.filled_pipe:
-                self._set_mode(self.DRAIN, now)
-        if self.mode == self.DRAIN and self.inflight_packets <= self._bdp_packets():
-            self._set_mode(self.PROBE_BW, now)
-            self.cycle_index = 0
-            self._cycle_start = now
-        if self.mode == self.PROBE_BW:
-            rtprop = self.rtprop_s or 0.05
-            if now - self._cycle_start > rtprop:
-                self.cycle_index = (self.cycle_index + 1) % len(self.CYCLE_GAINS)
-                self._cycle_start = now
-        # PROBE_RTT entry: the RTprop estimate went stale (no sample at or
-        # below the running minimum for a full window).
-        if self.mode != self.PROBE_RTT and self._rtprop_expired:
-            self._rtprop_expired = False
-            self._set_mode(self.PROBE_RTT, now)
-            self._probe_rtt_done = now + self.probe_rtt_duration_s
-        if self.mode == self.PROBE_RTT and self._probe_rtt_done is not None:
-            if now >= self._probe_rtt_done:
-                self._rtprop_stamp = now
-                self._probe_rtt_done = None
-                if self.filled_pipe:
-                    self._set_mode(self.PROBE_BW, now)
-                    self.cycle_index = 0
-                    self._cycle_start = now
-                else:
-                    self._set_mode(self.STARTUP, now)
-
     # -- Sender hooks -----------------------------------------------------------
 
     def on_ack(self, ack: AckInfo) -> None:
-        # Hot path (one call per delivered packet): the bodies of
-        # ``_update_filters`` and ``_update_state`` inlined with local
-        # lookups, in the same operation order -- identical floats (the
-        # CC and multi-flow goldens pin this).  The standalone methods
-        # remain the reference implementation (tests and the timeout
-        # path use them).
+        # Hot path (one call per delivered packet): round accounting,
+        # then the two filters, then the state machine, with local
+        # lookups (the CC and multi-flow goldens pin the floats).
         #
         # Round accounting first (a bw sample is stamped with the round it
         # arrived in): the acked packet left after the previous round's
@@ -183,7 +128,7 @@ class BBRSender(Sender):
             self.round_count += 1
             self._next_round_delivered = ack.delivered_bytes
 
-        # -- _update_filters, inlined --
+        # -- the max-bandwidth filter over the last bw_window_rounds --
         rate = ack.delivery_rate_bps
         if rate > 0:
             samples = self._bw_samples
@@ -193,15 +138,17 @@ class BBRSender(Sender):
             cutoff = self.round_count - self.bw_window_rounds
             while samples and samples[0][0] < cutoff:
                 samples.popleft()
+        # -- the kernel-style min-RTT filter: a strictly lower sample, or
+        # an expired window, replaces the estimate and restamps it; the
+        # pre-update expiry flag is what triggers PROBE_RTT below --
         now = ack.now
         min_rtt = self._min_rtt_s
         expired = min_rtt is not None and now - self._rtprop_stamp > self.rtprop_window_s
-        self._rtprop_expired = expired
         if min_rtt is None or ack.rtt_s < min_rtt or expired:
             self._min_rtt_s = ack.rtt_s
             self._rtprop_stamp = now
 
-        # -- _update_state, inlined (mode mirrored in a local) --
+        # -- the state machine (mode mirrored in a local) --
         mode = self.mode
         if mode == self.STARTUP:
             self._check_full_pipe()
@@ -218,8 +165,9 @@ class BBRSender(Sender):
             if now - self._cycle_start > rtprop:
                 self.cycle_index = (self.cycle_index + 1) % len(self.CYCLE_GAINS)
                 self._cycle_start = now
+        # PROBE_RTT entry: the RTprop estimate went stale (no sample at or
+        # below the running minimum for a full window).
         if expired and mode != self.PROBE_RTT:
-            self._rtprop_expired = False
             self._set_mode(self.PROBE_RTT, now)
             mode = self.PROBE_RTT
             self._probe_rtt_done = now + self.probe_rtt_duration_s

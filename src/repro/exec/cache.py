@@ -45,7 +45,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Bumped whenever simulator/session semantics change, invalidating every
 #: previously stored entry at once.
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 # ---------------------------------------------------------------------------

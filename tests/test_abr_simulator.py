@@ -1,7 +1,5 @@
 """Tests for the streaming simulator (repro.abr.simulator)."""
 
-import signal
-
 import numpy as np
 import pytest
 
@@ -86,7 +84,7 @@ class TestTraceBandwidth:
         with pytest.raises(ValueError):
             TraceBandwidth(trace).download_time(-1.0, 0.0)
 
-    def test_looping_download_crosses_an_unresolvable_boundary(self):
+    def test_looping_download_crosses_an_unresolvable_boundary(self, call_with_alarm):
         # Millisecond timestamps are off the binary float grid.  On the
         # second pass, at t = 2.212 s, (t - t0) % duration lands one ulp
         # below the segment start 0.911, where a step would be zero.
@@ -95,17 +93,9 @@ class TestTraceBandwidth:
             bandwidths_mbps=np.array([1.0, 2.0, 3.0]),
             duration=1.301,
         )
-
-        def stalled(signum, frame):
-            raise TimeoutError("download_time did not return")
-
-        previous = signal.signal(signal.SIGALRM, stalled)
-        signal.alarm(10)
-        try:
-            elapsed = TraceBandwidth(trace).download_time(2e6, 0.05)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        elapsed = call_with_alarm(
+            TraceBandwidth(trace).download_time, 2e6, 0.05, seconds=10
+        )
         # The same download walked segment by segment, without clock lookups.
         widths = [0.137, 0.774, 0.39]
         rates = [bw * 1e6 / 8.0 * PACKET_PAYLOAD_PORTION for bw in (1.0, 2.0, 3.0)]

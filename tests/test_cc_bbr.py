@@ -106,7 +106,11 @@ class TestFilterPoisoning:
         sender.round_count = 5
         from repro.cc.packet import AckInfo
 
+        # delivered_at_send 0 reaches the round marker: this ack opens
+        # round 6, and the round-0 high falls out of a 2-round window.
         ack = AckInfo(seq=1, now=1.0, rtt_s=0.04, delivered_bytes=1500,
-                      delivery_rate_bps=5e6, queue_sojourn_s=0.0)
-        sender._update_filters(ack)
+                      delivery_rate_bps=5e6, queue_sojourn_s=0.0,
+                      delivered_at_send=0)
+        sender.on_ack(ack)
+        assert sender.round_count == 6
         assert sender.max_bw_bps == pytest.approx(5e6)

@@ -1,4 +1,4 @@
-"""Tests for the packet-level emulator (repro.cc.network)."""
+"""Tests for the single-flow packet emulator (repro.cc.network)."""
 
 import gc
 import weakref
@@ -58,7 +58,7 @@ class TestEmulatorBasics:
         for _ in range(100):
             emu.run_interval(0.03)
         emu.run_until(emu.now + 1.0)  # let the pipe drain acks
-        sent = emu._next_seq
+        sent = emu.packets_sent
         accounted = (
             sender.total_acked
             + link.drops_loss
@@ -82,7 +82,7 @@ class TestEmulatorBasics:
         for _ in range(100):
             emu.run_interval(0.03)
         assert link.drops_loss > 0
-        observed = link.drops_loss / emu._next_seq
+        observed = link.drops_loss / emu.packets_sent
         assert observed == pytest.approx(0.10, abs=0.03)
 
     def test_queue_overflow_drops(self):
@@ -167,20 +167,16 @@ def assert_conserved(emu):
     assert emu.packets_sent == accounted
 
 
-class FiniteSender(GreedySender):
-    """Sends a fixed budget of packets, then goes idle forever."""
+class AckBudgetSender(GreedySender):
+    """Its window closes for good once ``n_acks`` acks have arrived."""
 
-    def __init__(self, n_packets, cwnd=8):
+    def __init__(self, n_acks, cwnd=8):
         super().__init__(cwnd=cwnd)
-        self.n_packets = n_packets
-        self.sent = 0
+        self.n_acks = n_acks
 
-    def register_send(self, packet):
-        self.sent += 1
-        super().register_send(packet)
-
-    def can_send(self):
-        return self.sent < self.n_packets and super().can_send()
+    @property
+    def cwnd_packets(self) -> int:
+        return 0 if self.total_acked >= self.n_acks else self._cwnd
 
 
 class TestConservationInvariants:
@@ -212,18 +208,56 @@ class TestConservationInvariants:
             assert stats.utilization_raw >= 0.0
 
     def test_counters_settle_when_drained(self):
-        sender = FiniteSender(200, cwnd=32)
+        sender = AckBudgetSender(200, cwnd=32)
         emu, _sender, link = make_emulator(
             loss=0.02, queue=30, seed=7, sender=sender
         )
         for _ in range(60):
             emu.run_interval(0.03)
         emu.run_until(emu.now + 2.0)  # drain the pipe
+        sent = emu.packets_sent
+        assert sender.total_acked >= 200
         assert_conserved(emu)
-        assert emu.packets_sent == 200
         assert emu.acks_in_flight == 0
         assert len(link.queue) == 0
-        assert emu.packets_delivered == 200 - link.drops_loss - link.drops_queue
+        assert not sender.inflight
+        assert emu.packets_delivered == sent - link.drops_loss - link.drops_queue
+        # The closed window stays closed: nothing more is sent.
+        emu.run_until(emu.now + 2.0)
+        assert emu.packets_sent == sent
+        assert_conserved(emu)
+
+
+class SendCountingSender(GreedySender):
+    """Counts its sends in ``register_send``, which the emulator inlines."""
+
+    def __init__(self):
+        super().__init__()
+        self.sends = 0
+
+    def register_send(self, packet):
+        self.sends += 1
+        super().register_send(packet)
+
+
+class SendBudgetSender(GreedySender):
+    """Stops after 200 sends by gating ``can_send``, which the emulator
+    inlines (the window must close through ``cwnd_packets`` instead)."""
+
+    def can_send(self):
+        return self.highest_seq_sent < 199 and super().can_send()
+
+
+class TestInlinedSenderMethods:
+    """The emulator inlines two Sender methods, so overriding them raises."""
+
+    @pytest.mark.parametrize("sender_cls, method", [
+        (SendBudgetSender, "can_send"),
+        (SendCountingSender, "register_send"),
+    ])
+    def test_override_is_rejected_at_construction(self, sender_cls, method):
+        with pytest.raises(TypeError, match=rf"{sender_cls.__name__} overrides Sender\.{method}"):
+            make_emulator(sender=sender_cls())
 
 
 class TestUtilizationRaw:
@@ -246,43 +280,6 @@ class TestUtilizationRaw:
         emu, _sender, _link = make_emulator(bw=50.0, sender=GreedySender(cwnd=4))
         stats = emu.run_interval(0.03)
         assert stats.utilization_raw == stats.utilization <= 1.0
-
-
-class TestIdleTickSuppression:
-    def test_never_sending_schedules_no_events(self):
-        # cwnd 0: the initial send blocks immediately; with the RTO tick
-        # armed only on transmit, the heap must go (and stay) empty instead
-        # of churning a tick every 100 ms.
-        emu, _sender, _link = make_emulator(sender=GreedySender(cwnd=0))
-        emu.run_until(10.0)
-        assert emu._events == []
-
-    def test_tick_disarms_after_workload_drains(self):
-        sender = FiniteSender(10)
-        emu, _s, _link = make_emulator(sender=sender)
-        emu.run_until(30.0)
-        assert sender.total_acked == 10
-        assert not sender.inflight
-        assert not emu._tick_armed
-        assert emu._events == []
-
-    def test_tick_rearms_on_next_send(self):
-        from repro.cc.network import _SEND
-
-        sender = FiniteSender(10)
-        emu, _s, _link = make_emulator(sender=sender)
-        emu.run_until(30.0)
-        assert not emu._tick_armed
-        # Resume the workload: the next transmit must re-arm the RTO tick.
-        sender.n_packets = 20
-        emu._schedule(emu.now, _SEND, None)
-        emu.run_until(emu.now + 0.01)
-        assert emu._tick_armed
-        assert any(event[2] != _SEND for event in emu._events)
-        emu.run_until(60.0)
-        assert sender.total_acked == 20
-        assert emu._events == []
-        assert_conserved(emu)
 
 
 @pytest.fixture

@@ -112,29 +112,36 @@ class TestGoldenFingerprints:
     the same commit that documents the upgrade.
 
     The ABR value dates from the pre-vectorization implementation.  The CC
-    values were re-pinned when the emulator fast path landed, for two
-    deliberate (and documented) semantic simplifications:
+    values were re-pinned when the single-flow emulator became a one-flow
+    ``MultiFlowEmulator``, whose event order is the one-event-per-hop
+    reference's (``tests/test_multiflow_reference.py``):
 
-    - the ``deliver`` event was folded into ``egress``, so an ack is due
-      ``2 x one_way_delay`` after egress with both legs priced at the
-      *egress-time* latency.  The old emulator re-read the latency at the
-      receiver hop, so the two implementations differ only for packets
-      whose flight spans an adversary latency change -- neither choice is
-      more faithful to a real path whose propagation delay shifted
-      mid-flight, and the fold saves a heap push+pop per packet;
-    - the periodic RTO tick is suppressed while nothing is in flight and
-      re-armed by the next transmit, which shifts the tick phase relative
-      to the old unconditional 100 ms cadence.
+    - an ack's return leg is priced at the latency in force when the
+      packet reaches the receiver, and the ack is due at
+      ``(egress + delay) + delay``.  The retired single-flow loop folded
+      both legs into egress at the egress-time latency and timed the ack
+      at ``egress + 2 * delay``, so it differed from the reference for
+      every packet whose flight spanned an adversary latency change, and
+      in the last bit even at a fixed latency;
+    - the RTO tick runs on a fixed 100 ms grid.  The retired loop
+      suppressed it while nothing was in flight and re-armed it on the
+      next transmit, which shifted its phase.
 
-    Everything else on the fast path (pre-drawn loss uniforms, integer
-    event dispatch, running-sum accumulators, O(1) queue-byte counters) is
-    draw-for-draw and byte-for-byte identical to the historical loop --
-    verified by the unchanged ABR golden and by TestRunToRunDeterminism.
+    Before -> after:
+
+    - ``CC_GOLDEN``: (-2.100877844257293, 0.8133619443944105) ->
+      (-2.092510120000373, -0.14598131919426072);
+    - ``CC_CONGESTION_GOLDEN``: (-2.1017436302897883, 3.367184166014039)
+      -> (-2.1140658183802334, 3.2567197050813466).
+
+    The last mean episode reward falls (utilization goal) because BBR
+    delivers more under the faithful pricing; Fig. 5's online capacity
+    fraction rose from 0.194 to 0.355 with the same change (EXPERIMENTS.md).
     """
 
     ABR_GOLDEN = (4.7408447238551, 57.15224527291367)
-    CC_GOLDEN = (-2.100877844257293, 0.8133619443944105)
-    CC_CONGESTION_GOLDEN = (-2.1017436302897883, 3.367184166014039)
+    CC_GOLDEN = (-2.092510120000373, -0.14598131919426072)
+    CC_CONGESTION_GOLDEN = (-2.1140658183802334, 3.2567197050813466)
 
     def test_abr_adversary_golden(self):
         assert fingerprint(abr_trainer(seed=7)) == self.ABR_GOLDEN

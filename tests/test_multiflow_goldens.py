@@ -100,9 +100,9 @@ def run_scenario(name: str) -> str:
             base_lat * (0.5 + 2.0 * lat_u),
             min(base_loss * 2.0 * loss_u + (0.002 if base_loss == 0 else 0.0) * loss_u, 1.0),
         )
-        for stats in emulator.run_interval(dt):
-            h.update(str(stats.bytes_delivered).encode())
-            h.update(float(stats.throughput_mbps).hex().encode())
+        for delivered in emulator.run_interval(dt).flow_bytes:
+            h.update(str(delivered).encode())
+            h.update(float(delivered * 8.0 / dt / 1e6).hex().encode())
     h.update(str(link.bytes_delivered).encode())
     h.update(str(link.drops_loss).encode())
     h.update(str(link.drops_queue).encode())

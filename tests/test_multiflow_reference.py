@@ -15,23 +15,22 @@ Hypothesis draws the scenarios: one to three flows of mixed senders,
 start times, ``tick_s``, small queues, loss up to 10 % (so that RTOs
 fire), and schedules on and between Table 1's boundary values whose
 latency drops reorder the receiver hops that cross an interval boundary.
-Per interval, each flow's bytes and throughput and its sender's
+Per interval, every :class:`~repro.cc.multiflow.IntervalStats` field
+(link bytes, drops by cause, mean queue sojourn, end-of-interval queue
+delay, utilization, each flow's bytes) and each sender's
 ``delivered_time``, ``srtt_s`` and ``total_lost`` must equal the
 reference's by ``float.hex``; at the end, so must the link and
-conservation counters.
-
-The single-flow ``PacketNetworkEmulator`` folds the deliver hop into
-egress: it prices an ack's return leg at the latency in force at egress
-and times the ack at ``egress + 2 * delay`` rather than ``(egress +
-delay) + delay``, so it does not match the reference (ROADMAP item 2).
+conservation counters.  The single-flow ``PacketNetworkEmulator`` is the
+same loop with one flow, and is checked the same way under a latency
+change every interval.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +42,7 @@ from repro.cc import (
     TimeVaryingLink,
     VivaceSender,
 )
-from repro.cc.multiflow import MultiFlowEmulator
+from repro.cc.multiflow import IntervalStats, MultiFlowEmulator
 from repro.cc.network import PacketNetworkEmulator
 from repro.cc.packet import Packet
 
@@ -73,6 +72,10 @@ class ReferenceEmulator:
         self._last_progress = [0.0] * n
         self.delivered_interval = [0] * n
         self.delivered_total = [0] * n
+        self.drops_loss_interval = 0
+        self.drops_queue_interval = 0
+        self.sojourn_sum = 0.0
+        self.egress_interval = 0
         self.packets_sent = 0
         self.packets_delivered = 0
         self.acks_in_flight = 0
@@ -127,8 +130,10 @@ class ReferenceEmulator:
                     self._start_service()
             else:
                 link.drops_queue += 1
+                self.drops_queue_interval += 1
         else:
             link.drops_loss += 1
+            self.drops_loss_interval += 1
         rate = max(sender.pacing_rate_bps(self.now), 1e3)
         self._schedule(self.now + sender.mss * 8.0 / rate, "send", index, None)
 
@@ -145,6 +150,10 @@ class ReferenceEmulator:
         link.bytes_delivered += packet.size_bytes
         self.delivered_interval[packet.owner] += packet.size_bytes
         self.delivered_total[packet.owner] += packet.size_bytes
+        sojourn = packet.service_start - packet.ingress_time
+        if sojourn > 0.0:
+            self.sojourn_sum += sojourn
+        self.egress_interval += 1
         self.acks_in_flight += 1
         self._schedule(self.now + link.one_way_delay_s, "deliver", packet.owner, packet)
         if link.queue:
@@ -178,8 +187,31 @@ class ReferenceEmulator:
 
     def run_interval(self, dt):
         self.delivered_interval = [0] * len(self.senders)
-        self.run_until(self.now + dt)
-        return list(self.delivered_interval)
+        self.drops_loss_interval = self.drops_queue_interval = 0
+        self.sojourn_sum = 0.0
+        self.egress_interval = 0
+        t_start = self.now
+        self.run_until(t_start + dt)
+        link = self.link
+        delivered = sum(self.delivered_interval)
+        utilization_raw = delivered / (link.rate_bps * dt / 8.0)
+        return IntervalStats(
+            t_start=t_start,
+            t_end=self.now,
+            bandwidth_mbps=link.bandwidth_mbps,
+            latency_ms=link.latency_ms,
+            loss_rate=link.loss_rate,
+            bytes_delivered=delivered,
+            utilization=min(utilization_raw, 1.0),
+            utilization_raw=utilization_raw,
+            mean_queue_sojourn_s=(
+                self.sojourn_sum / self.egress_interval if self.egress_interval else 0.0
+            ),
+            queue_delay_end_s=link.queuing_delay_estimate_s(),
+            drops_loss=self.drops_loss_interval,
+            drops_queue=self.drops_queue_interval,
+            flow_bytes=tuple(self.delivered_interval),
+        )
 
 
 def _hex(x):
@@ -188,6 +220,14 @@ def _hex(x):
 
 def sender_state(sender):
     return (_hex(sender.delivered_time), _hex(sender.srtt_s), sender.total_lost)
+
+
+def stats_fields(stats):
+    """Every IntervalStats field, floats by ``float.hex``."""
+    return [
+        (f.name, _hex(v) if isinstance(v, float) else v)
+        for f, v in zip(dataclasses.fields(stats), dataclasses.astuple(stats))
+    ]
 
 
 def link_counters(link):
@@ -257,16 +297,10 @@ def run_both(scenario):
     for step, (bw, lat, loss) in enumerate(scenario["schedule"]):
         live.set_conditions(bw, lat, loss)
         ref.set_conditions(bw, lat, loss)
-        stats = live.run_interval(dt)
-        ref_bytes = ref.run_interval(dt)
-        got = [
-            (s.bytes_delivered, s.throughput_mbps.hex(), sender_state(f.sender))
-            for s, f in zip(stats, live.flows)
-        ]
-        want = [
-            (b, (b * 8.0 / dt / 1e6).hex(), sender_state(sender))
-            for b, sender in zip(ref_bytes, ref.senders)
-        ]
+        got = (stats_fields(live.run_interval(dt)),
+               [sender_state(f.sender) for f in live.flows])
+        want = (stats_fields(ref.run_interval(dt)),
+                [sender_state(sender) for sender in ref.senders])
         assert got == want, f"interval {step}"
     assert link_counters(live_link) == link_counters(ref_link)
     assert [f.delivered_bytes_total for f in live.flows] == ref.delivered_total
@@ -317,12 +351,6 @@ def test_ack_tied_with_a_pacing_timer_keeps_creation_order():
 # -- the single-flow emulator ------------------------------------------------------
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="PacketNetworkEmulator folds the deliver hop into egress, pricing "
-    "the ack's return leg at the latency in force at egress, not at the "
-    "receiver (ROADMAP item 2)",
-)
 def test_single_flow_emulator_matches_reference_under_latency_changes():
     u = np.random.default_rng(5).random((200, 2))
     schedule = [(6.0 + 18.0 * a, 15.0 + 45.0 * b, 0.0) for a, b in u]
@@ -331,6 +359,6 @@ def test_single_flow_emulator_matches_reference_under_latency_changes():
     for step, (bw, lat, loss) in enumerate(schedule):
         emu.set_conditions(bw, lat, loss)
         ref.set_conditions(bw, lat, loss)
-        got = (emu.run_interval(0.03).bytes_delivered, sender_state(emu.sender))
-        want = (ref.run_interval(0.03)[0], sender_state(ref.senders[0]))
+        got = (stats_fields(emu.run_interval(0.03)), sender_state(emu.sender))
+        want = (stats_fields(ref.run_interval(0.03)), sender_state(ref.senders[0]))
         assert got == want, f"interval {step}"
