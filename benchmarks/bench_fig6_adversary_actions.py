@@ -66,6 +66,14 @@ def test_fig6_deterministic_actions(benchmark, cc_adversary_vs_bbr):
         f"\nBBR PROBE_RTT epochs at: "
         f"{[round(t, 1) for t in experiment.deterministic_probe_times_s]} s"
     )
+    # Which policy this figure analyses: the deterministic (mean) actions,
+    # not the stochastic rollouts Fig. 5 measures.
+    lines.append(
+        f"BBR capacity fraction: {roll.capacity_fraction:.3f} under these "
+        f"deterministic actions, "
+        f"{experiment.online_capacity_fractions[0]:.3f} in the stochastic "
+        f"online rollout"
+    )
 
     # Shape assertions: BBR probes under attack, and the adversary's
     # deterministic actions fluctuate more around those probing epochs
@@ -80,6 +88,7 @@ def test_fig6_deterministic_actions(benchmark, cc_adversary_vs_bbr):
 
     benchmark.extra_info["probing_variation"] = probing_var
     benchmark.extra_info["steady_variation"] = steady_var
+    benchmark.extra_info["deterministic_capacity_fraction"] = roll.capacity_fraction
     text = "\n".join(lines)
     write_results("fig6_adversary_actions", text)
     print("\n" + text)

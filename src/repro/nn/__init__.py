@@ -6,10 +6,11 @@ the tiny policy networks the paper uses (at most two hidden layers of 32
 neurons).  It provides:
 
 - :mod:`repro.nn.initializers` -- weight initialization schemes,
-- :mod:`repro.nn.layers` -- dense layers and activation functions with
-  hand-written backward passes through preallocated scratch,
+- :mod:`repro.nn.layers` -- dense layers and activation kernels: the
+  parameters, gradients and scratch the network computes through,
 - :mod:`repro.nn.network` -- the :class:`MLP` container with its flat
-  contiguous parameter/gradient buffers (per-layer views),
+  contiguous parameter/gradient buffers (per-layer views) and its one
+  forward loop and one backward loop,
 - :mod:`repro.nn.optim` -- SGD / RMSProp / Adam optimizers with fused
   in-place steps, plus flat-buffer gradient clipping,
 - :mod:`repro.nn.distributions` -- categorical and diagonal-Gaussian action
@@ -19,7 +20,7 @@ neurons).  It provides:
 from repro.nn.distributions import Categorical, DiagGaussian
 from repro.nn.layers import ACTIVATIONS, Dense
 from repro.nn.network import MLP
-from repro.nn.optim import SGD, Adam, RMSProp, clip_grad_norm, clip_grad_norm_flat
+from repro.nn.optim import SGD, Adam, RMSProp, clip_grad_norm_flat
 
 __all__ = [
     "ACTIVATIONS",
@@ -30,6 +31,5 @@ __all__ = [
     "MLP",
     "RMSProp",
     "SGD",
-    "clip_grad_norm",
     "clip_grad_norm_flat",
 ]

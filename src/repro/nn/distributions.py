@@ -21,8 +21,8 @@ __all__ = ["Categorical", "DiagGaussian"]
 _F64 = np.dtype(np.float64)
 
 
-def _scratch_buf(scratch: dict | None, name: str, shape: tuple) -> np.ndarray:
-    """Fetch (or grow) a named scratch array from a caller-owned dict.
+def _scratch_buf(scratch: dict, name: str, shape: tuple) -> np.ndarray:
+    """Fetch (or grow) a named scratch array from a scratch dict.
 
     The PPO hot loop builds a fresh distribution every minibatch; routing
     the per-call output arrays through one persistent dict (owned by
@@ -136,6 +136,12 @@ class DiagGaussian:
     ``mean`` has shape ``(n, d)``; ``log_std`` has shape ``(d,)`` and is a
     state-independent learned parameter (the stable-baselines convention
     for PPO continuous policies, which the paper's adversaries use).
+
+    ``std`` and the arrays ``log_prob``, ``entropy`` and
+    ``log_prob_grad`` return are scratch held in the ``scratch`` dict
+    (a private one when none is given): valid until the next call on
+    this distribution, or on any distribution built with the same dict
+    (as :class:`~repro.rl.policy.ActorCritic`'s are) -- copy to keep.
     """
 
     LOG_2PI = float(np.log(2.0 * np.pi))
@@ -158,12 +164,9 @@ class DiagGaussian:
             raise ValueError(
                 f"log_std shape {log_std.shape} incompatible with mean {mean.shape}"
             )
-        self._scratch = scratch
-        if scratch is None:
-            self.std = np.exp(log_std)
-        else:
-            self.std = std = _scratch_buf(scratch, "std", log_std.shape)
-            np.exp(log_std, out=std)
+        self._scratch = scratch = {} if scratch is None else scratch
+        self.std = std = _scratch_buf(scratch, "std", log_std.shape)
+        np.exp(log_std, out=std)
         # z-score cache shared by log_prob / log_prob_grad: PPO calls both
         # on the same actions array every minibatch; keying on the array's
         # identity makes the reuse safe (any other array recomputes).
@@ -222,25 +225,19 @@ class DiagGaussian:
         if not (type(actions) is np.ndarray and actions.dtype is _F64
                 and actions.ndim == 2):
             actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        if self._scratch is None:
-            z = (actions - self.mean) / self.std
-        else:
-            # Same two ufuncs as ``(actions - mean) / std``, into scratch.
-            z = self._bufs(*actions.shape)[0]
-            np.subtract(actions, self.mean, out=z)
-            z /= self.std
+        # Same two ufuncs as ``(actions - mean) / std``, into scratch.
+        z = self._bufs(*actions.shape)[0]
+        np.subtract(actions, self.mean, out=z)
+        z /= self.std
         self._z = z
         self._z_for = key
         return z
 
     def log_prob(self, actions: np.ndarray) -> np.ndarray:
         z = self._zscore(actions)
-        if self._scratch is None:
-            return np.add.reduce(
-                -0.5 * z * z - self.log_std - 0.5 * self.LOG_2PI, axis=-1
-            )
-        # The allocating expression above, ufunc by ufunc (same order, so
-        # bitwise identical), through persistent scratch.
+        # ``np.add.reduce(-0.5 * z * z - log_std - 0.5 * LOG_2PI, axis=-1)``
+        # ufunc by ufunc (same order, so bitwise identical), through
+        # persistent scratch.
         _, t, cols, out = self._bufs(*z.shape)[:4]
         np.multiply(-0.5, z, out=t)
         t *= z
@@ -264,11 +261,7 @@ class DiagGaussian:
         return np.add.reduce(t, axis=-1, out=out)
 
     def entropy(self) -> np.ndarray:
-        scratch = self._scratch
         c = 0.5 * (1.0 + self.LOG_2PI)
-        if scratch is None:
-            per_dim = self.log_std + c
-            return np.full(self.mean.shape[0], float(np.add.reduce(per_dim)))
         ls = self.log_std
         d = ls.shape[0]
         ent = self._bufs(self.mean.shape[0], d)[6]
@@ -283,7 +276,7 @@ class DiagGaussian:
                 total = total + (ls[j] + c)
             ent.fill(float(total))
             return ent
-        per_dim = _scratch_buf(scratch, "ent_pd", ls.shape)
+        per_dim = _scratch_buf(self._scratch, "ent_pd", ls.shape)
         np.add(ls, c, out=per_dim)
         ent.fill(float(np.add.reduce(per_dim)))
         return ent
@@ -295,8 +288,6 @@ class DiagGaussian:
         per-sample as well (summed by the caller over the batch).
         """
         z = self._zscore(actions)
-        if self._scratch is None:
-            return z / self.std, z * z - 1.0
         g_mean, g_ls = self._bufs(*z.shape)[4:6]
         np.divide(z, self.std, out=g_mean)
         np.multiply(z, z, out=g_ls)

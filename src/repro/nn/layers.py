@@ -1,30 +1,28 @@
-"""Dense layers and activation functions with explicit backward passes.
+"""Dense layers and activation functions: parameters and scratch.
 
 The hot path of every PPO update is a handful of *small* GEMMs and
 elementwise passes, so per-call Python and allocator overhead dominates
-actual FLOPs.  Both layer types therefore run zero-allocation in steady
-state:
+actual FLOPs.  :class:`~repro.nn.network.MLP` therefore runs the whole
+network in one forward loop and one backward loop over prebound
+operands; the layers here compute nothing themselves.  They hold:
 
-- :class:`Dense` writes its forward output, input gradient and parameter
-  gradients through preallocated scratch buffers (``np.matmul(...,
-  out=)`` / ``np.add(..., out=)``), growing them only when a larger batch
-  arrives;
-- :class:`Activation` owns a forward scratch and computes its gradient
-  *in place into* ``dout`` -- the array a caller passes to
-  :meth:`Activation.backward` is mutated and returned.
+- :class:`Dense` -- the parameters ``W``/``b``, their gradients
+  ``dW``/``db``, the cached input and the scratch its matmuls write
+  through (forward output, input gradient, fixed-size gradient
+  temporaries);
+- :class:`Activation` -- the forward and gradient kernels of one
+  elementwise nonlinearity (:data:`ACTIVATIONS`) plus their scratch.
 
-Aliasing rules (see ``docs/architecture.md``):
+Only :mod:`repro.nn.network` reads or sizes the scratch.  Parameters
+``W``/``b`` (and ``dW``/``db``) may be views into a flat parameter
+buffer (see :meth:`Dense.bind`); write through them (``W[...] = ...``),
+never rebind the attributes.
 
-- the array returned by :meth:`forward`/:meth:`backward` is a reused
-  scratch view, valid until the *next* forward/backward of the same
-  layer -- copy it to keep it;
-- parameters ``W``/``b`` (and ``dW``/``db``) may be views into a flat
-  parameter buffer (see :meth:`Dense.bind`); write through them
-  (``W[...] = ...``), never rebind the attributes.
-
-Every rewrite here is bitwise identical to the historical allocating
-implementation: the same ufuncs run in the same order on the same
-values, only the destination buffers changed.
+Every kernel writes into caller-provided buffers with the same ufuncs,
+in the same order, as the historical allocating expressions (``np.tanh(x)``,
+``dout * (1.0 - y * y)``, ...), so results are bitwise unchanged;
+``tests/test_nn_network.py`` checks the network against those plain
+numpy expressions.
 """
 
 from __future__ import annotations
@@ -38,23 +36,13 @@ from repro.nn import initializers
 __all__ = ["ACTIVATIONS", "Activation", "Dense"]
 
 
-_F64 = np.dtype(np.float64)
-
-
-def _is_f64_matrix(x) -> bool:
-    # ``type is`` / ``dtype is``: subclasses and byte-swapped floats fall
-    # through to the (correct, allocating) slow paths; the native case
-    # skips the costlier isinstance/dtype-equality protocol.
-    return type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 2
-
-
 class Dense:
-    """A fully connected layer ``y = x @ W + b``.
+    """A fully connected layer ``y = x @ W + b``: parameters and scratch.
 
-    The layer caches its input on :meth:`forward` so that :meth:`backward`
-    can compute parameter gradients.  Gradients accumulate into ``dW`` and
-    ``db`` until :meth:`zero_grad` is called, which lets callers combine
-    several loss terms.
+    :class:`~repro.nn.network.MLP` caches the layer's input in ``_x`` on
+    every forward and accumulates parameter gradients into ``dW`` and
+    ``db`` on every backward, until :meth:`zero_grad` is called, which
+    lets callers combine several loss terms.
 
     ``W``/``b``/``dW``/``db`` start as self-owned arrays; :meth:`bind`
     repoints them at contiguous views of a shared flat parameter/gradient
@@ -127,47 +115,6 @@ class Dense:
             offset = end
         return offset
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        if not _is_f64_matrix(x):
-            # Odd dtypes / 1-D inputs: the legacy allocating path.
-            return x @ self.W + self.b
-        n = x.shape[0]
-        if self._y.shape[0] < n:
-            self._y = np.empty((n, self.out_dim))
-        y = self._y[:n]
-        np.matmul(x, self.W, out=y)
-        y += self.b
-        return y
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients and return the input gradient."""
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        x = self._x
-        if not (_is_f64_matrix(dout) and _is_f64_matrix(x)):
-            self.dW += x.T @ dout
-            self.db += dout.sum(axis=0)
-            self._fresh = False
-            return dout @ self.W.T
-        # np.add.reduce is np.sum without the fromnumeric wrapper -- same
-        # pairwise reduction, measurably cheaper at minibatch sizes.
-        if self._fresh:
-            np.matmul(x.T, dout, out=self.dW)
-            np.add.reduce(dout, axis=0, out=self.db)
-            self._fresh = False
-        else:
-            np.matmul(x.T, dout, out=self._gW)
-            self.dW += self._gW
-            np.add.reduce(dout, axis=0, out=self._gb)
-            self.db += self._gb
-        n = dout.shape[0]
-        if self._dx.shape[0] < n:
-            self._dx = np.empty((n, self.in_dim))
-        dx = self._dx[:n]
-        np.matmul(dout, self.W.T, out=dx)
-        return dx
-
     def zero_grad(self) -> None:
         self.dW[:] = 0.0
         self.db[:] = 0.0
@@ -181,18 +128,15 @@ class Dense:
 
 
 class Activation:
-    """An elementwise activation with a cached-forward backward pass.
+    """An elementwise activation: its kernels and their scratch.
 
     Each activation's gradient depends on exactly one of the forward
     tensors -- tanh and sigmoid on the *output* ``y``, relu on the
-    *input* ``x`` -- so only that tensor is retained after
-    :meth:`forward`.  ``linear`` is a true pass-through: it returns its
-    input unchanged, caches nothing, and its backward returns ``dout``
-    untouched.
+    *input* ``x`` -- named by ``_keep``; the network's backward reads
+    that tensor from the forward's scratch.  ``linear`` has no kernels:
+    the network passes values and gradients straight through it.
 
-    :meth:`backward` scales ``dout`` *in place* on the float64 fast path
-    and returns it; callers that need the incoming gradient afterwards
-    must pass a copy.
+    The gradient kernel scales ``dout`` *in place* and returns it.
     """
 
     def __init__(self, name: str) -> None:
@@ -200,51 +144,23 @@ class Activation:
             raise ValueError(f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}")
         self.name = name
         self._fwd, self._grad, self._keep = ACTIVATIONS[name]
-        self._cached: np.ndarray | None = None
+        # Scratch: forward output and the local-gradient temporary.
         self._y = np.empty((0, 0))
         self._g = np.empty((0, 0))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self._fwd is None:  # linear: identity, nothing to cache
-            return x
-        if _is_f64_matrix(x):
-            if self._y.shape[0] < x.shape[0] or self._y.shape[1] != x.shape[1]:
-                self._y = np.empty(x.shape)
-            y = self._y[: x.shape[0]]
-            self._fwd(x, y)
-        else:
-            y = self._fwd(x, None)
-        self._cached = x if self._keep == "x" else y
-        return y
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._grad is None:  # linear: dL/dx == dL/dy, pass straight through
-            return dout
-        if self._cached is None:
-            raise RuntimeError("backward called before forward")
-        cached = self._cached
-        if _is_f64_matrix(dout) and dout.shape == cached.shape:
-            if self._g.shape != cached.shape:
-                self._g = np.empty(cached.shape)
-            return self._grad(cached, dout, self._g)
-        g = np.empty_like(np.asarray(cached, dtype=float))
-        return dout * self._grad(cached, None, g)
+# -- forward kernels: (x, out) -> out ----------------------------------------
 
 
-# -- forward kernels (out=None falls back to allocating) ---------------------
+def _tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.tanh(x, out=out)
 
 
-def _tanh(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    return np.tanh(x, out=out) if out is not None else np.tanh(x)
+def _relu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
-def _relu(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=out) if out is not None else np.maximum(x, 0.0)
-
-
-def _sigmoid(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    if out is None:
-        out = np.empty_like(x)
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -252,45 +168,36 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-# -- gradient kernels --------------------------------------------------------
+# -- gradient kernels: (cached tensor, dout, scratch) -> dout ---------------
 #
-# Each takes (cached_tensor, dout, scratch).  With ``dout`` given it scales
-# dout in place and returns it; with ``dout=None`` it writes the local
-# gradient into ``scratch`` and returns that (the allocating fallback path
-# multiplies afterwards).  The op order matches the historical expressions
-# exactly -- e.g. tanh computes ``y*y`` then ``1 - (y*y)`` -- so the fast
-# path is bitwise identical to ``dout * (1.0 - y * y)``.
+# Each scales ``dout`` in place and returns it.  The op order matches the
+# historical expressions exactly -- e.g. tanh computes ``y*y`` then
+# ``1 - (y*y)`` -- so the result is bitwise ``dout * (1.0 - y * y)``.
 
 
-def _tanh_grad(y: np.ndarray, dout: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+def _tanh_grad(y: np.ndarray, dout: np.ndarray, g: np.ndarray) -> np.ndarray:
     np.multiply(y, y, out=g)
     np.subtract(1.0, g, out=g)
-    if dout is None:
-        return g
     dout *= g
     return dout
 
 
-def _relu_grad(x: np.ndarray, dout: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+def _relu_grad(x: np.ndarray, dout: np.ndarray, g: np.ndarray) -> np.ndarray:
     # Multiplying by the boolean mask upcasts it to 0.0/1.0, exactly the
     # historical ``dout * (x > 0.0).astype(x.dtype)``.
-    if dout is None:
-        return (x > 0.0).astype(np.asarray(x).dtype)
     dout *= x > 0.0
     return dout
 
 
-def _sigmoid_grad(y: np.ndarray, dout: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+def _sigmoid_grad(y: np.ndarray, dout: np.ndarray, g: np.ndarray) -> np.ndarray:
     np.subtract(1.0, y, out=g)
     g *= y
-    if dout is None:
-        return g
     dout *= g
     return dout
 
 
-#: name -> (forward, gradient, which tensor to cache).  ``linear`` is
-#: ``(None, None, None)``: both directions are identity pass-throughs.
+#: name -> (forward, gradient, which tensor the gradient reads).
+#: ``linear`` is ``(None, None, None)``: both directions pass through.
 ACTIVATIONS: dict[str, tuple[Callable | None, Callable | None, str | None]] = {
     "tanh": (_tanh, _tanh_grad, "y"),
     "relu": (_relu, _relu_grad, "x"),

@@ -8,13 +8,28 @@ single fused in-place pass over :attr:`MLP.flat_params` /
 :attr:`MLP.flat_grads` instead of looping over per-layer arrays, and
 gradient clipping reduces one flat vector.
 
+A network is computed by one forward loop and one backward loop, and
+only this module knows the scratch they write through.  When the batch
+size changes, a prepare step sizes the layers' scratch (it only grows;
+a smaller batch gets row views) and binds each layer's operands -- the
+weights, the scratch views, the activation kernels, the ``W.T`` views
+-- into one tuple per layer; then the same loop runs.  The loops write
+through ``out=`` with the ufuncs, in the order, of the plain numpy
+expressions (``x @ W + b``, ``np.tanh``, ``dout * (1 - y * y)``,
+``x.T @ dout``, ...), so results are bitwise those expressions';
+``tests/test_nn_network.py`` checks them against a plain numpy oracle
+over random sequences of batch sizes.
+
 Aliasing rules:
 
 - never rebind ``layer.W`` / ``layer.b`` -- assign through the views
   (``W[...] = new``) or everything sharing the flat buffer silently
   desynchronizes;
 - :meth:`MLP.forward` returns a scratch view owned by the final layer,
-  valid until the next forward of the same network; copy to keep.
+  valid until the next forward of the same network; copy to keep;
+- :meth:`MLP.backward` returns the first layer's input-gradient scratch,
+  valid until the next backward of the same network, and a non-linear
+  output activation scales a float64 ``dout`` in place.
 
 Checkpoints stay **per-layer**: :meth:`get_weights`/:meth:`set_weights`
 pack/unpack at the boundary, so ``.npz`` files written before the flat
@@ -73,18 +88,19 @@ class MLP:
             self._stack.append(Dense(fan_in, fan_out, rng, gain=gain))
             self._stack.append(Activation(out_activation if last else activation))
         self._dense = [layer for layer in self._stack if isinstance(layer, Dense)]
-        # (dense, activation) pairs for the unrolled hot loops below; the
-        # stack is strictly alternating by construction.
+        # (dense, activation) pairs; the stack is strictly alternating by
+        # construction.
         self._pairs = list(zip(self._stack[0::2], self._stack[1::2]))
-        # Batch-size-keyed execution plans: prebound per-layer operand
-        # tuples for the steady-state forward/backward loops (see
-        # :meth:`_forward_fast`).  Built lazily after a generic pass and
-        # invalidated whenever buffers are rebound (:meth:`pack_into`,
-        # scratch regrowth, ``share_forward_scratch``).
-        self._fplan: list[tuple] | None = None
+        # The loops' operands: one prebound tuple per layer, bound for
+        # ``_fplan_n`` / ``_bplan_n`` rows by :meth:`_prepare_forward` /
+        # :meth:`_prepare_backward` whenever the batch size changes, and
+        # invalidated (-1) whenever buffers are rebound
+        # (:meth:`pack_into`, scratch regrowth, :meth:`share_scratch`).
+        self._fplan: list[tuple] = []
         self._fplan_n = -1
-        self._bplan: list[tuple] | None = None
+        self._bplan: list[tuple] = []
         self._bplan_n = -1
+        self._bplan_dx = False
         n = sum(d.W.size + d.b.size for d in self._dense)
         self.flat_params = np.empty(n)
         self.flat_grads = np.zeros(n)
@@ -113,7 +129,6 @@ class MLP:
         parameters into one master buffer.  Returns the end offset.
         """
         start = offset
-        self._fplan = self._bplan = None
         self._fplan_n = self._bplan_n = -1
         self.param_slices = []
         for layer in self._dense:
@@ -143,75 +158,45 @@ class MLP:
         return self._forward_fast(x)
 
     def _forward_fast(self, x: np.ndarray) -> np.ndarray:
-        """The hot loop of :meth:`forward`, minus input coercion.
+        """The forward loop: :meth:`forward` minus input coercion.
 
         The caller guarantees ``x`` is a float64 matrix of width
         ``in_dim`` (PPO's update loop does; its minibatches are slices of
         preallocated float64 epoch buffers).
         """
         n = x.shape[0]
-        if n == self._fplan_n:
-            # Plan path: the exact ufunc sequence of the generic loop
-            # below on prebound operands -- no shape checks, no
-            # per-layer attribute chasing.  Bitwise identical by
-            # construction (same ufuncs, same buffers, same order).
-            for dense, W, b, y, fwd, act, ay, keep_x in self._fplan:
-                dense._x = x
-                np.matmul(x, W, out=y)
-                y += b
-                if fwd is None:  # linear head: identity
-                    x = y
-                else:
-                    fwd(y, ay)
-                    act._cached = y if keep_x else ay
-                    x = ay
-            return x
-        # Generic (unrolled) layer loop: same ufunc sequence
-        # Dense.forward / Activation.forward would run (the input is
-        # always a float64 matrix here), minus two method frames and
-        # their re-checks per layer.  Runs once per batch-size change;
-        # the plan rebuilt from its final buffer bindings serves every
-        # later same-size call.
-        for dense, act in self._pairs:
+        if n != self._fplan_n:
+            self._prepare_forward(n)
+        for dense, W, b, y, fwd, ay in self._fplan:
             dense._x = x
-            y = dense._y
-            if y.shape[0] != n:  # steady state: scratch is exactly n rows
-                if y.shape[0] < n:
-                    dense._y = y = np.empty((n, dense.W.shape[1]))
-                    self._bplan_n = -1  # backward plan caches are stale
-                else:
-                    y = y[:n]
-            np.matmul(x, dense.W, out=y)
-            y += dense.b
-            fwd = act._fwd
-            if fwd is None:  # linear head: identity
+            np.matmul(x, W, out=y)
+            y += b
+            if fwd is None:  # linear: identity
                 x = y
             else:
-                ay = act._y
-                if ay.shape != y.shape:
-                    if ay.shape[0] < n or ay.shape[1] != y.shape[1]:
-                        act._y = ay = np.empty((n, y.shape[1]))
-                        self._bplan_n = -1
-                    else:
-                        ay = ay[:n]
                 fwd(y, ay)
-                act._cached = y if act._keep == "x" else ay
                 x = ay
-        self._build_fplan(n)
         return x
 
-    def _build_fplan(self, n: int) -> None:
+    def _prepare_forward(self, n: int) -> None:
+        """Size the forward scratch for ``n`` rows and bind the loop's operands.
+
+        Scratch only grows: a smaller batch binds ``n``-row views of the
+        existing buffers.  Growing a buffer invalidates the backward's
+        operands, which alias the forward's outputs.
+        """
         plan = []
         for dense, act in self._pairs:
-            y = dense._y if dense._y.shape[0] == n else dense._y[:n]
-            fwd = act._fwd
-            if fwd is None:
-                ay = None
-            else:
-                ay = act._y if act._y.shape[0] == n else act._y[:n]
-            plan.append(
-                (dense, dense.W, dense.b, y, fwd, act, ay, act._keep == "x")
-            )
+            if dense._y.shape[0] < n:
+                dense._y = np.empty((n, dense.out_dim))
+                self._bplan_n = -1
+            ay = None
+            if act._fwd is not None:
+                if act._y.shape[0] < n:
+                    act._y = np.empty((n, dense.out_dim))
+                    self._bplan_n = -1
+                ay = act._y[:n]
+            plan.append((dense, dense.W, dense.b, dense._y[:n], act._fwd, ay))
         self._fplan = plan
         self._fplan_n = n
 
@@ -220,118 +205,116 @@ class MLP:
     def backward(self, dout: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate ``dLoss/dOutput``; returns ``dLoss/dInput``.
 
-        ``dout`` may be scaled in place by activation layers; pass a copy
-        if the caller needs it afterwards (or use
-        :meth:`backward_input_grad`, which copies both ways).  With
-        ``need_input_grad=False``
-        the caller promises not to use the return value, letting the hot
-        path skip the first layer's (otherwise dead) input-gradient
-        matmul; parameter gradients are unaffected.  The result may then
-        be ``None``.
+        ``dout`` is coerced to a float64 matrix as :meth:`forward`
+        coerces its input; it must have the last forward's rows and
+        ``out_dim`` columns.  A float64 ``dout`` is scaled in place by a
+        non-linear output activation; pass a copy if the caller needs it
+        afterwards (or use :meth:`backward_input_grad`, which copies both
+        ways).  With ``need_input_grad=False`` the caller promises not to
+        use the return value, letting the loop skip the first layer's
+        (otherwise dead) input-gradient matmul; parameter gradients are
+        unaffected and the result is ``None``.
+
+        Raises :class:`ValueError` for a ``dout`` that is not 2-D or has
+        the wrong width, and :class:`RuntimeError` before any forward or
+        when ``dout``'s rows differ from the last forward's.
         """
-        fast = type(dout) is np.ndarray and dout.dtype is _F64 and dout.ndim == 2
-        if fast:
-            for dense in self._dense:
-                x = dense._x
-                if not (type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 2):
-                    fast = False
-                    break
-        if not fast:
-            for layer in reversed(self._stack):
-                dout = layer.backward(dout)
-            return dout
+        if not (type(dout) is np.ndarray and dout.dtype is _F64):
+            dout = np.asarray(dout, dtype=float)
+        if dout.ndim != 2:
+            raise ValueError(f"dout must be 2-D (batch, {self.out_dim}), got shape {dout.shape}")
+        if dout.shape[1] != self.out_dim:
+            raise ValueError(f"expected dout width {self.out_dim}, got {dout.shape[1]}")
         return self._backward_fast(dout, need_input_grad)
 
     def _backward_fast(
         self, dout: np.ndarray, need_input_grad: bool = True
     ) -> np.ndarray | None:
-        """The hot loop of :meth:`backward`, minus the fast-path probe.
+        """The backward loop: :meth:`backward` minus input coercion.
 
-        The caller guarantees ``dout`` and every layer's cached input are
-        float64 matrices (true whenever the preceding forward went through
-        :meth:`_forward_fast`).
+        The caller guarantees ``dout`` is a float64 ``(n, out_dim)``
+        matrix; the rows are checked against the last forward when the
+        operands are prepared.
         """
-        if not need_input_grad and dout.shape[0] == self._bplan_n:
-            # Plan path (mirror of the forward plan): prebound operands,
-            # including the ``W.T`` views and the activation caches --
-            # which alias the same memory the matching-size forward just
-            # wrote, whichever loop ran it.  PPO's update path only ever
-            # calls with ``need_input_grad=False``, so the plan covers
-            # just that case; the generic loop below handles the rest.
-            first = self._pairs[0][0]
-            for dense, grad, cached, g, dW, db, gW, gb, dx, WT, k1 in self._bplan:
-                if grad is not None:
-                    dout = grad(cached, dout, g)
-                x = dense._x
-                if dense._fresh:
-                    np.matmul(x.T, dout, out=dW)
-                    np.add.reduce(dout, axis=0, out=db)
-                    dense._fresh = False
-                else:
-                    np.matmul(x.T, dout, out=gW)
-                    dW += gW
-                    np.add.reduce(dout, axis=0, out=gb)
-                    db += gb
-                if dense is first:
-                    return None
-                if k1:
-                    np.multiply(dout, WT, out=dx)
-                else:
-                    np.matmul(dout, WT, out=dx)
-                dout = dx
-            return dout  # unreachable: the first-layer entry returned above
-        # Unrolled mirror of the forward loop (see Dense.backward /
-        # Activation.backward for the per-layer semantics being inlined).
-        n0 = dout.shape[0]
-        first = None if need_input_grad else self._pairs[0][0]
-        for dense, act in reversed(self._pairs):
-            grad = act._grad
+        n = dout.shape[0]
+        if (n != self._bplan_n or n != self._fplan_n
+                or need_input_grad != self._bplan_dx):
+            self._prepare_backward(n, need_input_grad)
+        for dense, grad, cached, g, dW, db, gW, gb, dx, WT, k1 in self._bplan:
             if grad is not None:
-                cached = act._cached
-                if cached is None:
-                    raise RuntimeError("backward called before forward")
-                if act._g.shape != cached.shape:
-                    act._g = np.empty(cached.shape)
-                dout = grad(cached, dout, act._g)
+                dout = grad(cached, dout, g)
             x = dense._x
+            # np.add.reduce is np.sum without the fromnumeric wrapper --
+            # same pairwise reduction, cheaper at minibatch sizes.
             if dense._fresh:
-                np.matmul(x.T, dout, out=dense.dW)
-                np.add.reduce(dout, axis=0, out=dense.db)
+                np.matmul(x.T, dout, out=dW)
+                np.add.reduce(dout, axis=0, out=db)
                 dense._fresh = False
             else:
-                np.matmul(x.T, dout, out=dense._gW)
-                dense.dW += dense._gW
-                np.add.reduce(dout, axis=0, out=dense._gb)
-                dense.db += dense._gb
-            if dense is first:
-                self._build_bplan(n0)
+                np.matmul(x.T, dout, out=gW)
+                dW += gW
+                np.add.reduce(dout, axis=0, out=gb)
+                db += gb
+            if dx is None:  # first layer, input gradient not wanted
                 return None
-            n = dout.shape[0]
-            dx = dense._dx
-            if dx.shape[0] != n:
-                if dx.shape[0] < n:
-                    dense._dx = dx = np.empty((n, dense.W.shape[0]))
-                else:
-                    dx = dx[:n]
-            if dout.shape[1] == 1:
+            if k1:
                 # k=1 GEMM is an outer product: one multiply per output
                 # element, no accumulation, so the broadcast ufunc is
                 # bitwise the matmul at a third of its cost (np.matmul
                 # takes a slow path on this shape).  This is every
                 # backward through a value head.
-                np.multiply(dout, dense.W.T, out=dx)
+                np.multiply(dout, WT, out=dx)
             else:
-                np.matmul(dout, dense.W.T, out=dx)
+                np.matmul(dout, WT, out=dx)
             dout = dx
         return dout
+
+    def _prepare_backward(self, n: int, need_input_grad: bool) -> None:
+        """Check ``n`` against the last forward, size the backward scratch
+        and bind the loop's operands, last layer first.
+
+        Each activation's cached tensor is the forward's own output view
+        (the dense output for relu, the activation output for tanh and
+        sigmoid).  The first layer's input-gradient buffer is allocated
+        only once a caller asks for it.
+        """
+        if self._fplan_n < 0:
+            raise RuntimeError("backward called before forward")
+        if n != self._fplan_n:
+            raise RuntimeError(
+                f"dout has {n} rows but the last forward had {self._fplan_n}"
+            )
+        plan = []
+        for i in range(len(self._pairs) - 1, -1, -1):
+            dense, act = self._pairs[i]
+            _, _, _, y, _, ay = self._fplan[i]
+            grad = act._grad
+            cached = g = None
+            if grad is not None:
+                cached = y if act._keep == "x" else ay
+                if act._g.shape[0] < n:
+                    act._g = np.empty((n, dense.out_dim))
+                g = act._g[:n]
+            dx = None
+            if i > 0 or need_input_grad:
+                if dense._dx.shape[0] < n:
+                    dense._dx = np.empty((n, dense.in_dim))
+                dx = dense._dx[:n]
+            plan.append(
+                (dense, grad, cached, g, dense.dW, dense.db, dense._gW,
+                 dense._gb, dx, dense.W.T, dense.out_dim == 1)
+            )
+        self._bplan = plan
+        self._bplan_n = n
+        self._bplan_dx = need_input_grad
 
     def backward_input_grad(self, dout: np.ndarray) -> np.ndarray:
         """Backpropagate ``dLoss/dOutput`` and return a *caller-owned* input grad.
 
         The attack-facing entry point around :meth:`backward`'s two
-        documented hazards: activation layers scale ``dout`` in place on
-        the fast path (an FGSM/PGD loop that rebuilds its loss gradient
-        from a reused array would be silently corrupted across
+        documented hazards: a non-linear output activation scales
+        ``dout`` in place (an FGSM/PGD loop that rebuilds its loss
+        gradient from a reused array would be silently corrupted across
         iterations), and the returned input gradient is the first layer's
         scratch (overwritten by the next backward of this network).  This
         wrapper copies on the way in and on the way out, so the caller's
@@ -346,32 +329,27 @@ class MLP:
         dx = self.backward(dout, need_input_grad=True)
         return np.array(dx, dtype=float, copy=True)
 
-    def _build_bplan(self, n: int) -> None:
-        plan = []
-        for dense, act in reversed(self._pairs):
-            grad = act._grad
-            if grad is None:
-                cached = g = None
-            else:
-                y = dense._y if dense._y.shape[0] == n else dense._y[:n]
-                ay = act._y if act._y.shape[0] == n else act._y[:n]
-                cached = y if act._keep == "x" else ay
-                g = act._g
-                if g.shape != cached.shape:  # not regrown yet: no plan
-                    return
-            dx = dense._dx
-            if dx.shape[0] != n:
-                if dx.shape[0] < n:
-                    dx = None  # first layer under need_input_grad=False
-                else:
-                    dx = dx[:n]
-            plan.append(
-                (dense, grad, cached, g, dense.dW, dense.db,
-                 dense._gW, dense._gb, dx, dense.W.T,
-                 dense.W.shape[1] == 1)
-            )
-        self._bplan = plan
-        self._bplan_n = n
+    def share_scratch(self, other: "MLP") -> None:
+        """Alias this network's forward/backward scratch onto ``other``'s.
+
+        Only same-shaped buffers are shared, layer by layer; a buffer
+        that either network later regrows for a bigger batch stops being
+        shared, costing only the saving.  Safe only when the two
+        networks never need their scratch at the same time (see
+        ``ActorCritic.share_forward_scratch`` for the call order).
+        """
+        for (dense_o, act_o), (dense, act) in zip(other._pairs, self._pairs):
+            if dense_o.out_dim == dense.out_dim:
+                dense._y = dense_o._y
+                dense._gW = dense_o._gW
+                dense._gb = dense_o._gb
+                if act_o.name == act.name:
+                    act._y = act_o._y
+                    act._g = act_o._g
+            if dense_o.in_dim == dense.in_dim:
+                dense._dx = dense_o._dx
+        # The prepared operands reference the buffers just swapped out.
+        self._fplan_n = self._bplan_n = -1
 
     def mark_grads_zero(self) -> None:
         """Tell the layers their gradient views were just zeroed externally
@@ -405,12 +383,15 @@ class MLP:
         return [p.copy() for p in self.parameters()]
 
     def set_weights(self, weights: Sequence[np.ndarray]) -> None:
+        """Write ``weights`` into the parameters; every shape is checked
+        before any is written."""
         params = self.parameters()
         if len(weights) != len(params):
             raise ValueError(f"expected {len(params)} arrays, got {len(weights)}")
         for p, w in zip(params, weights):
-            if p.shape != w.shape:
-                raise ValueError(f"shape mismatch: {p.shape} vs {w.shape}")
+            if p.shape != np.shape(w):
+                raise ValueError(f"shape mismatch: {p.shape} vs {np.shape(w)}")
+        for p, w in zip(params, weights):
             p[:] = w
 
     def num_parameters(self) -> int:

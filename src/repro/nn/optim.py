@@ -15,10 +15,10 @@ The fused op order replicates the historical expressions exactly
 ``g`` first, then by ``g`` again), so updates are bitwise identical to
 the allocating implementation.
 
-:func:`clip_grad_norm_flat` is the flat-buffer companion of
-:func:`clip_grad_norm`: one squared pass over the flat gradient, with
-the reduction *segmented per parameter array in layer order* so the norm
-accumulates in exactly the historical float order.
+:func:`clip_grad_norm_flat` clips by the global L2 norm: one squared
+pass over the flat gradient, with the reduction *segmented per parameter
+array in layer order* so the norm accumulates in exactly the historical
+per-array float order.
 """
 
 from __future__ import annotations
@@ -33,41 +33,27 @@ __all__ = [
     "Optimizer",
     "RMSProp",
     "SGD",
-    "clip_grad_norm",
     "clip_grad_norm_flat",
 ]
-
-
-def clip_grad_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
-    """Scale ``grads`` in place so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clipping norm (useful for logging).
-    """
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if max_norm > 0.0 and total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for g in grads:
-            g *= scale
-    return total
 
 
 def clip_grad_norm_flat(
     flat_grad: np.ndarray,
     max_norm: float,
-    segments: Sequence[tuple[int, int]] | None = None,
+    segments: Sequence[tuple[int, int]],
     scratch: np.ndarray | None = None,
     segment_views: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Clip one flat gradient vector in place; returns the pre-clip norm.
 
-    Equivalent to :func:`clip_grad_norm` over the per-array views of
-    ``flat_grad``: the squared values are reduced segment by segment (in
-    the given order) and accumulated as Python floats, reproducing the
-    historical per-layer summation order bit for bit -- ``np.sum`` over a
-    contiguous 1-D segment pairwise-sums the same element sequence as
-    over the original 2-D array.  With ``segments=None`` the whole vector
-    is one segment (a different -- still deterministic -- float order; do
-    not mix the two on the same training run).
+    Scales ``flat_grad`` so its global L2 norm is at most ``max_norm``
+    (``max_norm <= 0`` disables clipping).  The squared values are
+    reduced segment by segment -- ``segments`` are the ``(start, stop)``
+    offsets of the parameter arrays, e.g. ``MLP.param_slices`` -- and
+    accumulated as Python floats, reproducing the historical per-array
+    summation order bit for bit: ``np.sum`` over a contiguous 1-D
+    segment pairwise-sums the same element sequence as over the original
+    2-D array.
 
     ``scratch`` is an optional caller-owned buffer of ``flat_grad``'s
     shape receiving the squared values, making the call allocation-free.
@@ -82,16 +68,11 @@ def clip_grad_norm_flat(
     # np.add.reduce == np.sum bit for bit (np.sum is a wrapper around it);
     # calling the ufunc directly skips ~2 Python frames per segment.
     reduce = np.add.reduce
-    if segment_views is not None:
-        total = 0.0
-        for seg in segment_views:
-            total += float(reduce(seg))
-    elif segments is None:
-        total = float(reduce(scratch))
-    else:
-        total = 0.0
-        for start, stop in segments:
-            total += float(reduce(scratch[start:stop]))
+    if segment_views is None:
+        segment_views = [scratch[start:stop] for start, stop in segments]
+    total = 0.0
+    for seg in segment_views:
+        total += float(reduce(seg))
     # math.sqrt of a Python float == np.sqrt bit for bit (both are the
     # correctly-rounded IEEE sqrt; math.sqrt(nan) is nan, not an error),
     # minus the scalar-ufunc dispatch.

@@ -107,23 +107,9 @@ class ActorCritic:
         one net after forwarding the other (e.g. REINFORCE forwards the
         value net first and backpropagates it last) -- the second forward
         overwrites the cached activations the later backward would need.
-        Only same-shaped buffers are shared; if a layer's scratch is later
-        regrown for a bigger batch the aliasing quietly ends, costing only
-        the optimization.
+        Only same-shaped buffers are shared (see :meth:`MLP.share_scratch`).
         """
-        for (dp, ap), (dv, av) in zip(self.policy_net._pairs, self.value_net._pairs):
-            if dp.out_dim == dv.out_dim:
-                dv._y = dp._y
-                dv._gW = dp._gW
-                dv._gb = dp._gb
-                if ap.name == av.name:
-                    av._y = ap._y
-                    av._g = ap._g
-            if dp.in_dim == dv.in_dim:
-                dv._dx = dp._dx
-        # The value net's execution plans (if any were already built)
-        # reference the buffers just swapped out.
-        self.value_net._fplan_n = self.value_net._bplan_n = -1
+        self.value_net.share_scratch(self.policy_net)
 
     # -- forward passes ----------------------------------------------------
 
@@ -226,9 +212,14 @@ class ActorCritic:
         return [p.copy() for p in self.parameters()]
 
     def set_weights(self, weights: Sequence[np.ndarray]) -> None:
+        """Write ``weights`` into the parameters; every shape is checked
+        before any is written."""
         params = self.parameters()
         if len(weights) != len(params):
             raise ValueError(f"expected {len(params)} arrays, got {len(weights)}")
+        for i, (p, w) in enumerate(zip(params, weights)):
+            if np.shape(w) != p.shape:
+                raise ValueError(f"parameter {i}: shape mismatch: {p.shape} vs {np.shape(w)}")
         for p, w in zip(params, weights):
             p[:] = w
 

@@ -411,10 +411,9 @@ class PPO:
                     np.divide(adv, std + 1e-8, out=adv)
 
                 # Minimal zero_grad: every dense gradient segment is
-                # direct-written by the fresh-path backward before the
-                # flat gradient is read (inputs in this loop are always
-                # float64 matrices, so the fast path is guaranteed);
-                # only log_std accumulates via += and needs a real zero.
+                # direct-written by the backward's fresh path before the
+                # flat gradient is read; only log_std accumulates via +=
+                # and needs a real zero.
                 for dense in dense_layers:
                     dense._fresh = True
                 if dlog is not None:
@@ -629,11 +628,12 @@ class PPO:
     def load(self, path: str | Path) -> None:
         """Restore policy weights and observation statistics from ``path``.
 
-        The checkpoint is fully read and validated against the current
-        policy -- parameter count, every parameter shape, and the
-        normalization-statistics shape -- *before* anything is mutated,
-        so a mismatched file raises a clear :class:`ValueError` and
-        leaves the trainer exactly as it was.
+        The checkpoint is fully read and validated -- parameter count,
+        every parameter's shape and finiteness, and the normalization
+        statistics' values (:meth:`RunningMeanStd.load_state`) and shape
+        -- *before* anything is mutated, so a mismatched or corrupt file
+        raises a clear :class:`ValueError` and leaves the trainer
+        exactly as it was.
         """
         path = self.checkpoint_path(path)
         with np.load(path) as data:
@@ -652,7 +652,7 @@ class PPO:
             rms_state = {
                 "mean": data["rms_mean"],
                 "var": data["rms_var"],
-                "count": float(data["rms_count"]),
+                "count": data["rms_count"],
             }
         params = self.policy.parameters()
         if len(weights) != len(params):
@@ -667,6 +667,17 @@ class PPO:
                     f"checkpoint {path} param_{i} has shape {w.shape}, "
                     f"policy expects {p.shape}; refusing to load"
                 )
+            if not np.isfinite(w).all():
+                raise ValueError(
+                    f"checkpoint {path} param_{i} holds non-finite values; "
+                    "refusing to load"
+                )
+        try:
+            # A scratch normalizer runs load_state's checks without
+            # touching the trainer's.
+            RunningMeanStd().load_state(rms_state)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
         rms_shape = np.asarray(rms_state["mean"]).shape
         if rms_shape != self.obs_rms.mean.shape:
             raise ValueError(

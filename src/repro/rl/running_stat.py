@@ -68,6 +68,30 @@ class RunningMeanStd:
         return {"mean": self.mean.copy(), "var": self.var.copy(), "count": self.count}
 
     def load_state(self, state: dict) -> None:
-        self.mean = np.asarray(state["mean"], dtype=float).copy()
-        self.var = np.asarray(state["var"], dtype=float).copy()
-        self.count = float(state["count"])
+        """Restore a :meth:`state` dict, copying its arrays.
+
+        A checkpoint is an input boundary, so before anything is assigned
+        this raises :class:`ValueError` for a non-finite ``mean``, a
+        negative or non-finite ``var``, ``mean`` and ``var`` shapes that
+        differ, and a ``count`` that is not one finite positive number.
+        """
+        mean = np.array(state["mean"], dtype=float)
+        var = np.array(state["var"], dtype=float)
+        count = np.asarray(state["count"], dtype=float)
+        if not np.isfinite(mean).all():
+            raise ValueError("normalization mean must be finite")
+        if not (np.isfinite(var).all() and (var >= 0.0).all()):
+            raise ValueError("normalization var must be finite and non-negative")
+        if mean.shape != var.shape:
+            raise ValueError(
+                f"normalization mean shape {mean.shape} and var shape "
+                f"{var.shape} differ"
+            )
+        if count.size != 1 or not 0.0 < count.item() < np.inf:
+            raise ValueError(
+                f"normalization count must be one finite positive number, "
+                f"got {count.tolist()!r}"
+            )
+        self.mean = mean
+        self.var = var
+        self.count = count.item()

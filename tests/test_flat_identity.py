@@ -146,28 +146,43 @@ def test_columnwise_row_sum_matches_reduce_below_eight(d):
 
 
 def test_diag_gaussian_scratch_matches_allocating_paths():
-    """Scratch-backed log_prob/entropy/grads == the allocating versions."""
+    """Scratch-backed log_prob/entropy/grads == the allocating expressions.
+
+    The expressions below are the ones ``DiagGaussian`` computes ufunc by
+    ufunc into its scratch, written out with numpy allocating each
+    result; they are checked with a private scratch dict and with one
+    shared across distributions, at widths on both sides of the d = 8
+    reduction boundary.
+    """
     rng = np.random.default_rng(99)
-    for d in (1, 2, 3, 7, 9):
+    log_2pi = DiagGaussian.LOG_2PI
+
+    def expected(mean, log_std, actions):
+        std = np.exp(log_std)
+        z = (actions - mean) / std
+        log_prob = np.add.reduce(-0.5 * z * z - log_std - 0.5 * log_2pi, axis=-1)
+        per_dim = log_std + 0.5 * (1.0 + log_2pi)
+        entropy = np.full(mean.shape[0], float(np.add.reduce(per_dim)))
+        return std, log_prob, entropy, z / std, z * z - 1.0
+
+    def check(dist, mean, log_std, actions):
+        std, log_prob, entropy, g_mean, g_ls = expected(mean, log_std, actions)
+        np.testing.assert_array_equal(dist.std, std)
+        np.testing.assert_array_equal(dist.log_prob(actions), log_prob)
+        np.testing.assert_array_equal(dist.entropy(), entropy)
+        got_mean, got_ls = dist.log_prob_grad(actions)
+        np.testing.assert_array_equal(got_mean, g_mean)
+        np.testing.assert_array_equal(got_ls, g_ls)
+
+    shared: dict = {}
+    for d in (1, 2, 3, 7, 8, 9):
         mean = rng.standard_normal((64, d))
         log_std = rng.standard_normal(d) * 0.3
         actions = rng.standard_normal((64, d))
-        plain = DiagGaussian(mean, log_std)
-        scratch: dict = {}
-        fast = DiagGaussian(mean, log_std, scratch=scratch)
-        np.testing.assert_array_equal(
-            fast.log_prob(actions), plain.log_prob(actions)
-        )
-        np.testing.assert_array_equal(fast.entropy(), plain.entropy())
-        g_m_f, g_ls_f = fast.log_prob_grad(actions)
-        g_m_p, g_ls_p = plain.log_prob_grad(actions)
-        np.testing.assert_array_equal(g_m_f, g_m_p)
-        np.testing.assert_array_equal(g_ls_f, g_ls_p)
+        check(DiagGaussian(mean, log_std), mean, log_std, actions)
+        dist = DiagGaussian(mean, log_std, scratch=shared)
+        check(dist, mean, log_std, actions)
         # refresh() after an in-place parameter write == a fresh object.
         log_std += 0.125
-        fast.refresh()
-        rebuilt = DiagGaussian(mean, log_std)
-        np.testing.assert_array_equal(fast.std, rebuilt.std)
-        np.testing.assert_array_equal(
-            fast.log_prob(actions), rebuilt.log_prob(actions)
-        )
+        dist.refresh()
+        check(dist, mean, log_std, actions)

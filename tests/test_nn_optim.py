@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, RMSProp, clip_grad_norm
+from repro.nn.optim import SGD, Adam, RMSProp, clip_grad_norm_flat
 
 
 def quadratic_descent(optimizer_factory, steps=200):
@@ -61,25 +61,44 @@ class TestOptimizers:
 
 
 class TestClipGradNorm:
+    """``clip_grad_norm_flat`` over one flat vector cut into per-array segments."""
+
     def test_noop_below_threshold(self):
-        g = [np.array([0.3, 0.4])]  # norm 0.5
-        norm = clip_grad_norm(g, 1.0)
+        g = np.array([0.3, 0.4])  # norm 0.5
+        norm = clip_grad_norm_flat(g, 1.0, segments=[(0, 2)])
         assert norm == pytest.approx(0.5)
-        np.testing.assert_allclose(g[0], [0.3, 0.4])
+        np.testing.assert_allclose(g, [0.3, 0.4])
 
     def test_scales_above_threshold(self):
-        g = [np.array([3.0, 4.0])]  # norm 5
-        norm = clip_grad_norm(g, 1.0)
+        g = np.array([3.0, 4.0])  # norm 5
+        norm = clip_grad_norm_flat(g, 1.0, segments=[(0, 2)])
         assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(np.linalg.norm(g[0]), 1.0, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(g), 1.0, atol=1e-9)
 
     def test_global_norm_across_arrays(self):
-        g = [np.array([3.0]), np.array([4.0])]
-        clip_grad_norm(g, 1.0)
-        total = np.sqrt(sum(float(np.sum(a * a)) for a in g))
-        assert total == pytest.approx(1.0, abs=1e-9)
+        g = np.array([3.0, 4.0])
+        clip_grad_norm_flat(g, 1.0, segments=[(0, 1), (1, 2)])
+        assert np.sqrt(float(np.sum(g * g))) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_max_norm_disables_clipping(self):
-        g = [np.array([10.0])]
-        clip_grad_norm(g, 0.0)
-        np.testing.assert_allclose(g[0], [10.0])
+        g = np.array([10.0])
+        clip_grad_norm_flat(g, 0.0, segments=[(0, 1)])
+        np.testing.assert_allclose(g, [10.0])
+
+    def test_norm_sums_per_array_in_segment_order(self):
+        """The pre-clip norm is the per-array sum of squares, bit for bit,
+        with or without caller-owned scratch and segment views."""
+        rng = np.random.default_rng(5)
+        shapes = [(7, 9), (9,), (9, 3), (3,)]
+        arrays = [rng.standard_normal(s) * 10.0 ** rng.integers(-4, 5) for s in shapes]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        bounds = np.cumsum([0] + [a.size for a in arrays])
+        segments = list(zip(bounds[:-1], bounds[1:]))
+        total = 0.0
+        for a in arrays:
+            total += float(np.sum(a * a))
+        expected = float(np.sqrt(total))
+        scratch = np.empty_like(flat)
+        views = [scratch[a:b] for a, b in segments]
+        assert clip_grad_norm_flat(flat.copy(), 0.0, segments) == expected
+        assert clip_grad_norm_flat(flat.copy(), 0.0, segments, scratch, views) == expected

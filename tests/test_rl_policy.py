@@ -122,6 +122,19 @@ class TestWeights:
         with pytest.raises(ValueError):
             policy.set_weights(policy.get_weights()[:-1])
 
+    def test_wrong_shape_raises_before_any_write(self, rng):
+        policy = ActorCritic(3, Box([-1.0, -1.0], [1.0, 1.0]), rng=rng)
+        before = policy.get_weights()
+        weights = [w + 1.0 for w in before]
+        weights[-1] = np.zeros(7)  # the last array is the wrong shape
+        with pytest.raises(ValueError, match="shape mismatch"):
+            policy.set_weights(weights)
+        # A (1,) array must not broadcast into every parameter either.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            policy.set_weights([np.ones(1)] * len(before))
+        for w, p in zip(before, policy.parameters()):
+            np.testing.assert_array_equal(p, w)
+
     def test_unsupported_space_raises(self, rng):
         with pytest.raises(TypeError):
             ActorCritic(3, object(), rng=rng)

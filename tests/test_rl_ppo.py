@@ -197,6 +197,35 @@ class TestPPOPersistence:
             ppo.load(tmp_path / "model.npz")
         self._assert_unchanged(ppo, before)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("rms_var", np.array([-1.0]), "var must be finite and non-negative"),
+        ("rms_var", np.array([np.nan]), "var must be finite and non-negative"),
+        ("rms_var", np.ones(3), r"mean shape \(1,\) and var shape \(3,\) differ"),
+        ("rms_mean", np.array([np.inf]), "mean must be finite"),
+        ("rms_count", np.array(0.0), "count must be one finite positive number"),
+        ("rms_count", np.array(np.nan), "count must be one finite positive number"),
+        ("rms_count", np.array([3.0, 4.0]), "count must be one finite positive number"),
+        ("param_0", None, "param_0 holds non-finite values"),
+    ], ids=["negative-var", "nan-var", "var-shape", "inf-mean", "zero-count",
+            "nan-count", "vector-count", "nan-weight"])
+    def test_corrupt_checkpoint_raises_before_mutation(self, tmp_path, key, value, match):
+        ppo = PPO(MatchParityEnv(), PPOConfig(n_steps=128), seed=0)
+        ppo.learn(128)
+        ppo.save(tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        if value is None:  # a NaN weight
+            value = arrays[key].copy()
+            value.flat[0] = np.nan
+        arrays[key] = value
+        np.savez(tmp_path / "corrupt.npz", **arrays)
+        fresh = PPO(MatchParityEnv(), PPOConfig(n_steps=128), seed=1)
+        before = self._snapshot(fresh)
+        with pytest.raises(ValueError, match=match):
+            fresh.load(tmp_path / "corrupt.npz")
+        self._assert_unchanged(fresh, before)
+        assert np.isfinite(fresh.predict(np.array([1.0])))
+
     def test_missing_rms_arrays_raise(self, tmp_path):
         ppo = PPO(MatchParityEnv(), PPOConfig(n_steps=128), seed=0)
         ppo.save(tmp_path / "model.npz")

@@ -4,6 +4,7 @@ import copy
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,43 @@ class TestRunningMeanStd:
         np.testing.assert_allclose(restored.mean, rms.mean)
         np.testing.assert_allclose(restored.var, rms.var)
         assert restored.count == rms.count
+
+
+class TestLoadStateValidation:
+    """A state dict is an input boundary: malformed stats raise, untouched."""
+
+    GOOD = {"mean": np.zeros(3), "var": np.ones(3), "count": 10.0}
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("mean", np.array([0.0, np.inf, 0.0]), "mean must be finite"),
+        ("mean", np.array([np.nan, 0.0, 0.0]), "mean must be finite"),
+        ("var", np.array([1.0, -0.5, 1.0]), "var must be finite and non-negative"),
+        ("var", np.array([1.0, np.nan, 1.0]), "var must be finite and non-negative"),
+        ("var", np.array([1.0, np.inf, 1.0]), "var must be finite and non-negative"),
+        ("var", np.ones(1), r"mean shape \(3,\) and var shape \(1,\) differ"),
+        ("count", 0.0, "count must be one finite positive number"),
+        ("count", -3.0, "count must be one finite positive number"),
+        ("count", np.nan, "count must be one finite positive number"),
+        ("count", np.inf, "count must be one finite positive number"),
+        ("count", np.array([5.0, 6.0]), "count must be one finite positive number"),
+    ], ids=["inf-mean", "nan-mean", "negative-var", "nan-var", "inf-var",
+            "var-shape", "zero-count", "negative-count", "nan-count",
+            "inf-count", "vector-count"])
+    def test_malformed_state_raises_before_assigning(self, field, value, match):
+        rms = RunningMeanStd((3,))
+        rms.update(np.random.default_rng(3).standard_normal((20, 3)))
+        before = rms.state()
+        with pytest.raises(ValueError, match=match):
+            rms.load_state({**self.GOOD, field: value})
+        np.testing.assert_array_equal(rms.mean, before["mean"])
+        np.testing.assert_array_equal(rms.var, before["var"])
+        assert rms.count == before["count"]
+
+    def test_zero_variance_and_array_count_load(self):
+        rms = RunningMeanStd((3,))
+        rms.load_state({"mean": np.ones(3), "var": np.zeros(3), "count": np.array(7.0)})
+        assert rms.count == 7.0 and type(rms.count) is float
+        np.testing.assert_array_equal(rms.var, np.zeros(3))
 
 
 def reference_normalize(rms, x, clip):
