@@ -249,11 +249,9 @@ def optimal_qoe_exhaustive_mixed(
     """Exact max QoE for a batch of *ragged* windows; returns ``(B,)``.
 
     Generalizes :func:`optimal_qoe_exhaustive_batch` to windows of mixed
-    lengths -- the state a lockstep batch of adversary envs is in right
-    after a staggered reset, when some envs are still inside their first
-    ``opt_window`` chunks.  Windows are grouped by length and each group
-    runs one lattice sweep; results come back in input order, each entry
-    bitwise equal to::
+    lengths.  Windows are grouped by length and each group runs one
+    lattice sweep; results come back in input order, each entry bitwise
+    equal to::
 
         optimal_qoe_exhaustive(video, start_chunks[b], bandwidth_windows[b],
                                start_buffers_s[b], prev_qualities[b], weights)[0]

@@ -16,8 +16,8 @@ one vectorized pass over all of them:
   ring written with a single vectorized scatter per step, so the serial
   path's per-env list-append + pad + concatenate becomes one reshape;
 - action scaling, smoothing penalties, the ``r_opt`` exhaustive search
-  (one :func:`~repro.abr.protocols.optimal.optimal_qoe_exhaustive_mixed`
-  call per (video, weights) group) and reward assembly are all batched.
+  (one :func:`~repro.abr.protocols.optimal.optimal_qoe_exhaustive_batch`
+  call per step) and reward assembly are all batched.
 
 Equivalence contract
 --------------------
@@ -55,10 +55,7 @@ import numpy as np
 
 from repro.abr.batched import BatchedAbrPolicy, vectorized_adapter
 from repro.abr.protocols.base import AbrPolicy
-from repro.abr.protocols.optimal import (
-    optimal_qoe_exhaustive_batch,
-    optimal_qoe_exhaustive_mixed,
-)
+from repro.abr.protocols.optimal import optimal_qoe_exhaustive_batch
 from repro.abr.protocols.pensieve import PensieveAgent
 from repro.abr.qoe import QoEWeights
 from repro.abr.simulator import ControlledBandwidth, StreamingSession
@@ -325,38 +322,22 @@ class BatchedAbrVecEnv(VecEnv):
             next_sizes[done_mask] = 0.0
         frame[:, 5:] = next_sizes
 
-        # 7. r_opt over the last min(opt_window, steps) chunks.  Lockstep
-        #    episodes keep every lane's window the same length, so the
-        #    common case is one direct batch solve over ring slices; the
-        #    mixed solver covers any ragged state (identical values, it
-        #    just regroups by length first).
+        # 7. r_opt over the last min(opt_window, steps) chunks, one batch
+        #    solve over ring slices.  reset() resets every lane and all
+        #    lanes play the one video a chunk per step, so they finish and
+        #    auto-reset on the same step: every lane's window has the same
+        #    length.
         self._steps += 1
         widths = np.minimum(self._steps, self.opt_window)
-        off = self.opt_window - widths
-        o0 = int(off[0])
-        if (off == o0).all():
-            r_opt = optimal_qoe_exhaustive_batch(
-                video,
-                start_chunks=self._steps - widths,
-                bandwidth_windows=self._bw_ring[:, o0:],
-                start_buffers_s=self._buf_ring[:, o0],
-                prev_qualities=[
-                    None if q < 0 else int(q) for q in self._pq_ring[:, o0]
-                ],
-                weights=self.weights,
-            )
-        else:
-            r_opt = optimal_qoe_exhaustive_mixed(
-                video,
-                start_chunks=(self._steps - widths).tolist(),
-                bandwidth_windows=[self._bw_ring[i, off[i]:] for i in range(n)],
-                start_buffers_s=[self._buf_ring[i, off[i]] for i in range(n)],
-                prev_qualities=[
-                    None if self._pq_ring[i, off[i]] < 0 else int(self._pq_ring[i, off[i]])
-                    for i in range(n)
-                ],
-                weights=self.weights,
-            )
+        o0 = self.opt_window - int(widths[0])
+        r_opt = optimal_qoe_exhaustive_batch(
+            video,
+            start_chunks=self._steps - widths,
+            bandwidth_windows=self._bw_ring[:, o0:],
+            start_buffers_s=self._buf_ring[:, o0],
+            prev_qualities=[None if q < 0 else int(q) for q in self._pq_ring[:, o0]],
+            weights=self.weights,
+        )
 
         # 8. Equation 1, left-associated exactly like AdversaryReward:
         #    (first - second) - w*smoothing.  Zero-padded qoe columns make

@@ -95,7 +95,7 @@ class MLP:
         # ``_fplan_n`` / ``_bplan_n`` rows by :meth:`_prepare_forward` /
         # :meth:`_prepare_backward` whenever the batch size changes, and
         # invalidated (-1) whenever buffers are rebound
-        # (:meth:`pack_into`, scratch regrowth, :meth:`share_scratch`).
+        # (:meth:`pack_into`, scratch regrowth).
         self._fplan: list[tuple] = []
         self._fplan_n = -1
         self._bplan: list[tuple] = []
@@ -328,28 +328,6 @@ class MLP:
         dout = np.array(dout, dtype=float, copy=True, ndmin=2)
         dx = self.backward(dout, need_input_grad=True)
         return np.array(dx, dtype=float, copy=True)
-
-    def share_scratch(self, other: "MLP") -> None:
-        """Alias this network's forward/backward scratch onto ``other``'s.
-
-        Only same-shaped buffers are shared, layer by layer; a buffer
-        that either network later regrows for a bigger batch stops being
-        shared, costing only the saving.  Safe only when the two
-        networks never need their scratch at the same time (see
-        ``ActorCritic.share_forward_scratch`` for the call order).
-        """
-        for (dense_o, act_o), (dense, act) in zip(other._pairs, self._pairs):
-            if dense_o.out_dim == dense.out_dim:
-                dense._y = dense_o._y
-                dense._gW = dense_o._gW
-                dense._gb = dense_o._gb
-                if act_o.name == act.name:
-                    act._y = act_o._y
-                    act._g = act_o._g
-            if dense_o.in_dim == dense.in_dim:
-                dense._dx = dense_o._dx
-        # The prepared operands reference the buffers just swapped out.
-        self._fplan_n = self._bplan_n = -1
 
     def mark_grads_zero(self) -> None:
         """Tell the layers their gradient views were just zeroed externally

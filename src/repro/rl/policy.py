@@ -95,22 +95,6 @@ class ActorCritic:
         self._dense_layers = self.policy_net._dense + self.value_net._dense
         self._dist_scratch: dict = {}
 
-    def share_forward_scratch(self) -> None:
-        """Alias the value net's forward/backward scratch onto the policy net's.
-
-        Opt-in cache optimization for drivers whose call order is strictly
-        *policy forward -> policy backward -> value forward -> value
-        backward* within every step (PPO's update loop and rollout both
-        are): the two nets then never need their activation/input-gradient
-        scratch at the same time, and sharing one set halves the hot
-        working set.  Do NOT call this from a driver that backpropagates
-        one net after forwarding the other (e.g. REINFORCE forwards the
-        value net first and backpropagates it last) -- the second forward
-        overwrites the cached activations the later backward would need.
-        Only same-shaped buffers are shared (see :meth:`MLP.share_scratch`).
-        """
-        self.value_net.share_scratch(self.policy_net)
-
     # -- forward passes ----------------------------------------------------
 
     def distribution(self, obs: np.ndarray):

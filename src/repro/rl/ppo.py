@@ -162,13 +162,6 @@ class PPO:
             rng=self.rng,
             init_log_std=self.cfg.init_log_std,
         )
-        # PPO's call order is strictly policy-forward -> policy-backward ->
-        # value-forward -> value-backward (both in rollouts and in every
-        # update minibatch), so the two nets can share one set of
-        # forward/backward scratch -- halving the hot working set.
-        # REINFORCE must NOT do this (it backprops the value net after
-        # re-forwarding the policy net); see share_forward_scratch.
-        self.policy.share_forward_scratch()
         act_dim = 1 if self.policy.discrete else self.policy.action_space.dim
         self.buffer = RolloutBuffer(
             self.cfg.n_steps, self.policy.obs_dim, act_dim, self.policy.discrete,

@@ -73,6 +73,7 @@ _KIND_ERROR = 5
 _FLAG_PROTOCOL = 1
 _FLAG_SEED = 2
 _FLAG_LAST_QUALITY = 4
+_FLAGS_KNOWN = _FLAG_PROTOCOL | _FLAG_SEED | _FLAG_LAST_QUALITY
 
 
 class ServeError(Exception):
@@ -243,7 +244,9 @@ def _decode_request_json(body: bytes) -> DecisionRequest:
     if not isinstance(data, dict):
         raise _bad("request body must be a JSON object")
     session = _validate_session_id(data.get("session"))
-    close = bool(data.get("close", False))
+    close = data.get("close", False)
+    if not isinstance(close, bool):
+        raise _bad(f"close must be a JSON boolean, got {type(close).__name__}")
     if close:
         return DecisionRequest(session=session, observation=None, close=True)
     protocol = data.get("protocol")
@@ -360,14 +363,23 @@ class _Cursor:
         except UnicodeDecodeError:
             raise _bad("binary frame holds invalid UTF-8") from None
 
+    def end(self) -> None:
+        """Require that the frame ends where its last field did."""
+        extra = len(self.data) - self.pos
+        if extra:
+            raise _bad(f"{extra} trailing byte(s) after the binary frame")
+
 
 def _decode_request_binary(body: bytes) -> DecisionRequest:
     cur = _Cursor(body)
     magic, kind, flags = cur.unpack(_HEAD)
     if magic != _MAGIC:
         raise _bad("bad frame magic")
+    if flags & ~_FLAGS_KNOWN:
+        raise _bad(f"unknown frame flag bits {flags & ~_FLAGS_KNOWN:#04x}")
     session = _validate_session_id(cur.text())
     if kind == _KIND_CLOSE:
+        cur.end()
         return DecisionRequest(session=session, observation=None, close=True)
     if kind != _KIND_DECIDE:
         raise _bad(f"unexpected request frame kind {kind}")
@@ -387,6 +399,7 @@ def _decode_request_binary(body: bytes) -> DecisionRequest:
     # The pair block decodes with one frombuffer; per-entry range checks
     # happen vectorized here and in validate_observation.
     pairs = np.frombuffer(cur.take(n_hist * 16), dtype="<f8")
+    cur.end()
     history = list(zip(pairs[0::2].tolist(), pairs[1::2].tolist()))
     for name, value in (("buffer_seconds", buffer_s),
                         ("last_chunk_bytes", last_bytes),

@@ -18,12 +18,20 @@ Scenarios deliberately exercise the numerically delicate paths:
 - a small queue (droptail drops),
 - staggered flow starts and 1/2/4-flow contention,
 - all five senders (bbr, cubic, reno, copa, vivace).
+
+The three Table-1 mixes (``TABLE1_MIXES``) pin the live emulator and
+senders at e9af27e, where the same digests also came out of a frozen
+copy of the pre-fast-path stack: that emulator loop, the seed-era link
+and the seed-era sender bookkeeping, with BBR's filter and state updates
+as separate methods.  Each mix runs 400 intervals of random actions from
+the adversary's Table-1 ranges.
 """
 
 import hashlib
 
 import numpy as np
 
+from repro.adversary.cc_env import CC_ACTION_RANGES
 from repro.cc import (
     BBRSender,
     CopaSender,
@@ -81,6 +89,40 @@ GOLDEN_DIGESTS = {
 }
 
 
+#: One mix per flow count, BBR in each; together they run all five
+#: senders.  The link starts at the midpoints of Table 1's bandwidth and
+#: latency ranges with no loss and a 120-packet queue.
+TABLE1_MIXES = {
+    "bbr-vivace": [BBRSender, VivaceSender],
+    "bbr-cubic-vivace": [BBRSender, CubicSender, VivaceSender],
+    "bbr-reno-copa-vivace": [BBRSender, RenoSender, CopaSender, VivaceSender],
+}
+
+TABLE1_DIGESTS = {
+    "bbr-vivace": "5ebe17aa991e8eaf63ecbe9ebf666cd78d4595986432600d4fa2a7144ae08165",
+    "bbr-cubic-vivace": "4b148083df0337daebeb7566d095d757d3d89da9dc93109d66f2494db3700fbc",
+    "bbr-reno-copa-vivace": "9acfd1b8523be76ce5ca724725c4d218da4eaf292818399d463f6ee859b3f20f",
+}
+
+
+def digest_run(emulator: MultiFlowEmulator, conditions, dt: float) -> str:
+    """Run one ``dt`` interval per ``(bandwidth_mbps, latency_ms,
+    loss_rate)`` row of ``conditions`` and return the SHA-256 digest of
+    every interval's per-flow bytes and throughput, then the link's
+    byte and drop counters."""
+    h = hashlib.sha256()
+    for bandwidth_mbps, latency_ms, loss_rate in conditions:
+        emulator.set_conditions(bandwidth_mbps, latency_ms, loss_rate)
+        for delivered in emulator.run_interval(dt).flow_bytes:
+            h.update(str(delivered).encode())
+            h.update(float(delivered * 8.0 / dt / 1e6).hex().encode())
+    link = emulator.link
+    h.update(str(link.bytes_delivered).encode())
+    h.update(str(link.drops_loss).encode())
+    h.update(str(link.drops_queue).encode())
+    return h.hexdigest()
+
+
 def run_scenario(name: str) -> str:
     """Run one scenario and return the SHA-256 digest of its outcomes."""
     factories, link_kwargs, emu_kwargs, sched_seed, n_intervals, dt = SCENARIOS[name]
@@ -89,36 +131,47 @@ def run_scenario(name: str) -> str:
     base_bw = link.bandwidth_mbps
     base_lat = link.latency_ms
     base_loss = link.loss_rate
-    sched = np.random.default_rng(sched_seed).random((n_intervals, 3))
-    h = hashlib.sha256()
-    for bw_u, lat_u, loss_u in sched:
-        # Swing bandwidth 0.3-1.7x, latency 0.5-2.5x, loss 0-2x around the
-        # scenario's base conditions -- every interval boundary moves all
-        # three knobs, so in-flight packets straddle condition changes.
-        emulator.set_conditions(
-            base_bw * (0.3 + 1.4 * bw_u),
-            base_lat * (0.5 + 2.0 * lat_u),
-            min(base_loss * 2.0 * loss_u + (0.002 if base_loss == 0 else 0.0) * loss_u, 1.0),
-        )
-        for delivered in emulator.run_interval(dt).flow_bytes:
-            h.update(str(delivered).encode())
-            h.update(float(delivered * 8.0 / dt / 1e6).hex().encode())
-    h.update(str(link.bytes_delivered).encode())
-    h.update(str(link.drops_loss).encode())
-    h.update(str(link.drops_queue).encode())
-    return h.hexdigest()
+    u = np.random.default_rng(sched_seed).random((n_intervals, 3))
+    # Swing bandwidth 0.3-1.7x, latency 0.5-2.5x, loss 0-2x around the
+    # scenario's base conditions -- every interval boundary moves all
+    # three knobs, so in-flight packets straddle condition changes.
+    conditions = np.column_stack([
+        base_bw * (0.3 + 1.4 * u[:, 0]),
+        base_lat * (0.5 + 2.0 * u[:, 1]),
+        np.minimum(
+            base_loss * 2.0 * u[:, 2] + (0.002 if base_loss == 0 else 0.0) * u[:, 2],
+            1.0,
+        ),
+    ])
+    return digest_run(emulator, conditions, dt)
+
+
+def run_table1_mix(name: str) -> str:
+    """Run one Table-1 mix and return the SHA-256 digest of its outcomes."""
+    (bw_lo, bw_hi), (lat_lo, lat_hi), (loss_lo, loss_hi) = CC_ACTION_RANGES.values()
+    link = TimeVaryingLink((bw_lo + bw_hi) / 2, (lat_lo + lat_hi) / 2, 0.0,
+                           queue_packets=120)
+    emulator = MultiFlowEmulator([cls() for cls in TABLE1_MIXES[name]], link,
+                                 seed=0, start_stagger_s=0.05)
+    u = np.random.default_rng(1).random((400, 3))
+    conditions = np.column_stack([
+        bw_lo + (bw_hi - bw_lo) * u[:, 0],
+        lat_lo + (lat_hi - lat_lo) * u[:, 1],
+        loss_lo + (loss_hi - loss_lo) * u[:, 2],
+    ])
+    return digest_run(emulator, conditions, 0.03)
 
 
 class TestMultiFlowGoldens:
     def test_all_scenarios_pinned(self):
         assert set(GOLDEN_DIGESTS) == set(SCENARIOS)
+        assert set(TABLE1_DIGESTS) == set(TABLE1_MIXES)
 
     def test_digests_match(self):
-        mismatches = {}
-        for name in SCENARIOS:
-            digest = run_scenario(name)
-            if digest != GOLDEN_DIGESTS[name]:
-                mismatches[name] = digest
+        digests = {name: run_scenario(name) for name in SCENARIOS}
+        digests.update((name, run_table1_mix(name)) for name in TABLE1_MIXES)
+        pinned = {**GOLDEN_DIGESTS, **TABLE1_DIGESTS}
+        mismatches = {name: d for name, d in digests.items() if d != pinned[name]}
         assert not mismatches, (
             "multi-flow emulator diverged from the pinned pre-fast-path "
             f"numerics: {mismatches}"

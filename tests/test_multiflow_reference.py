@@ -8,8 +8,8 @@ reaching the sender (ack), and the periodic RTO check (tick).  Each hop
 of each packet is its own event.  There are no folds, no slots and no
 cached sender state, and the live senders are driven only through the
 public :class:`~repro.cc.protocols.base.Sender` API.  The loop is the
-pre-fast-path multi-flow emulator that ``benchmarks/bench_multiflow.py``
-keeps as its speed baseline, with ``tick_s`` and ``start_times`` added.
+pre-fast-path multi-flow emulator, with ``tick_s`` and ``start_times``
+added.
 
 Hypothesis draws the scenarios: one to three flows of mixed senders,
 start times, ``tick_s``, small queues, loss up to 10 % (so that RTOs

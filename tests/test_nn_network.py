@@ -214,36 +214,23 @@ def oracle(net, x, dout):
 
 @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
 @pytest.mark.parametrize("head", ["linear", "same"])
-@pytest.mark.parametrize("share", ["off", "before-forward", "after-updates"])
-def test_loops_match_numpy_oracle_over_batch_sizes(activation, head, share):
+def test_loops_match_numpy_oracle_over_batch_sizes(activation, head):
     """An actor-critic's two nets in PPO's call order, bit for bit.
 
     Four batch sizes in 1..200, unlocked one stage at a time and each
     first met by a forward-only pass (a rollout), grow and shrink the
     scratch, so updates keep meeting operands prepared for their size
     before a bigger batch regrew the scratch under them.  Input gradients
-    are asked for on some backwards and not on others; gradients are
-    zeroed before some backwards and accumulate across others; and with
-    ``share`` on, the value net runs on the policy net's scratch, shared
-    either before any forward, when every row buffer is still empty, or
-    after both nets have trained at every size, when sharing survives and
-    the value net's prepared operands must be dropped.
+    are asked for on some backwards and not on others, and gradients are
+    zeroed before some backwards and accumulate across others.
     """
-    rng = np.random.default_rng([ord(c) for c in f"{activation}/{head}/{share}"])
+    rng = np.random.default_rng([ord(c) for c in f"{activation}/{head}"])
     out_act = activation if head == "same" else "linear"
     policy = MLP((5, 8, 6, 3), rng, activation=activation, out_activation=out_act)
     value = MLP((5, 8, 6, 1), rng, activation=activation,
                 out_activation=out_act, out_gain=1.0)
     nets = (policy, value)
     sizes = np.sort(rng.integers(1, 201, size=4))
-    if share == "after-updates":
-        for n in sizes[::-1]:
-            x = rng.standard_normal((n, 5))
-            for net in nets:
-                net.forward(x)
-                net.backward(rng.standard_normal((n, net.out_dim)))
-    if share != "off":
-        value.share_scratch(policy)
     prev = [[g.copy() for g in net.gradients()] for net in nets]
     steps = [(n, j > 0 and rng.random() < 0.6)
              for stage in range(4)

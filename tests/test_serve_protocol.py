@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.abr.simulator import AbrObservation
 from repro.serve import (
@@ -175,6 +177,32 @@ class TestValidation:
     def test_bad_magic(self):
         with pytest.raises(ServeError):
             decode_request(b"\x00\x01\x02rest", CONTENT_BINARY)
+
+    def test_binary_unknown_flag_bits_rejected(self):
+        body = bytearray(encode_request(
+            DecisionRequest("s", midstream_obs(), protocol="bb"), CONTENT_BINARY
+        ))
+        body[2] |= 0x80  # the flags byte
+        with pytest.raises(ServeError, match="unknown frame flag bits 0x80") as exc_info:
+            decode_request(bytes(body), CONTENT_BINARY)
+        assert exc_info.value.status == 400
+
+    @pytest.mark.parametrize("close", ["false", [0], 0, 1, None],
+                             ids=["string", "list", "zero", "one", "null"])
+    def test_json_close_must_be_boolean(self, close):
+        body = json.dumps({"session": "s", "close": close}).encode()
+        with pytest.raises(ServeError, match="close must be a JSON boolean") as exc_info:
+            decode_request(body)
+        assert exc_info.value.status == 400
+
+    @given(close=st.booleans(), suffix=st.binary(min_size=1, max_size=64))
+    @settings(max_examples=50, deadline=None)
+    def test_binary_frame_with_any_suffix_rejected(self, close, suffix):
+        req = DecisionRequest("s", None if close else midstream_obs(), close=close)
+        body = encode_request(req, CONTENT_BINARY) + suffix
+        with pytest.raises(ServeError, match=f"^{len(suffix)} trailing byte") as exc_info:
+            decode_request(body, CONTENT_BINARY)
+        assert exc_info.value.status == 400
 
     def test_unsupported_content_type(self):
         with pytest.raises(ServeError) as exc_info:
